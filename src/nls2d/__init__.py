@@ -8,18 +8,13 @@ classifier with a CLI harness.
 
 from .grid import (
     Field,
+    Moments,
     SpectralGrid,
     boundary_mass_fraction,
     boundary_sup,
-    dft_forward,
-    dft_inverse,
-    gradient_norm_sq,
-    hhalf_norm_sq,
-    l2_norm_sq,
-    lp_norm_p,
+    moments,
     read_checkpoint,
     spectral_gradient,
-    tail_fraction,
     write_checkpoint,
 )
 from .functionals import (

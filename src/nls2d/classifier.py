@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, boundary_mass_fraction
-from .functionals import RenormalizedSet, conserved, renormalized, window_check
+from .grid import Field, boundary_mass_fraction, moments
+from .functionals import RenormalizedSet, renormalized, window_check
 from .diagnostics import radial_asymmetry
 from .evolution import BLOWUP_DETECTED, RAN_TO_T_END, UNDERRESOLVED
 
@@ -89,8 +89,8 @@ def classify(f: Field, gs, tol: float = 1e-4) -> Verdict:
     """
     if not gs.certified:
         raise ValueError("classification requires a certified ground state")
-    cs = conserved(f)
-    rn = renormalized(f, gs)
+    m = moments(f)
+    rn = renormalized(m, gs)
     me2 = rn.ME - 2.0 * rn.Pn**2
     g2 = rn.G**2 - rn.Pn**2
     radial = is_radial(f)
@@ -109,7 +109,7 @@ def classify(f: Field, gs, tol: float = 1e-4) -> Verdict:
 
     if window.status != "inside":
         case = CASE_FORBIDDEN
-    elif cs.energy < 0.0:
+    elif m.energy < 0.0:
         case = CASE_NEGATIVE_ENERGY
     elif me2 >= 1.0 - tol:
         case = CASE_BOUNDARY if me2 <= 1.0 + tol else CASE_OUT_OF_SCOPE

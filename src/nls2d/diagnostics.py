@@ -15,15 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    Field,
-    boundary_mass_fraction,
-    gradient_norm_sq,
-    l2_norm_sq,
-    lp_norm_p,
-    spectral_gradient,
-)
-from .functionals import conserved, renormalized
+from .grid import Field, boundary_mass_fraction, moments, spectral_gradient
+from .functionals import renormalized
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +132,8 @@ def variance_derivative(f: Field) -> float:
 
 def virial_rhs(f: Field) -> float:
     """The virial identity right side 8 ||grad u||^2 - (16/3) ||u||_L6^6."""
-    return 8.0 * gradient_norm_sq(f) - (16.0 / 3.0) * lp_norm_p(f, 6)
+    m = moments(f)
+    return 8.0 * m.grad_sq - (16.0 / 3.0) * m.l6_6
 
 
 def localized_variance(f: Field, cutoff: Cutoff):
@@ -337,7 +331,8 @@ def blowup_time_bound(f: Field, gs, R: float, kappa: float,
     exterior gradient stays within the kappa budget.  Returns (t_b, info)
     with t_b None when the hypotheses are not verifiable at t = 0.
     """
-    rn = renormalized(f, gs)
+    m = moments(f)
+    rn = renormalized(m, gs)
     if not (rn.ME < 1.0 and rn.G > 1.0):
         raise ValueError("bound applies above threshold (ME < 1, G(0) > 1)")
     lam_sq = 1.0 + np.sqrt(1.0 - rn.ME)
@@ -351,8 +346,7 @@ def blowup_time_bound(f: Field, gs, R: float, kappa: float,
     ux, uy = spectral_gradient(f)
     ext = g.R >= R
     grad_ext = float(g.dx**2 * np.sum(np.abs(ux[ext]) ** 2 + np.abs(uy[ext]) ** 2))
-    mass = l2_norm_sq(f)
-    G_ext = float(np.sqrt(mass * grad_ext) / gs.qq_gq)
+    G_ext = float(np.sqrt(m.mass * grad_ext) / gs.qq_gq)
     info = {"lam": lam, "G_ext": G_ext, "kappa": kappa, "R": R}
     if G_ext > kappa:
         info["reason"] = "exterior gradient exceeds the kappa budget at t = 0"
@@ -393,7 +387,8 @@ class ScatteringReport:
 
 
 def _h1_norm(f: Field) -> float:
-    return float(np.sqrt(l2_norm_sq(f) + gradient_norm_sq(f)))
+    m = moments(f)
+    return float(np.sqrt(m.mass + m.grad_sq))
 
 
 def asymptotic_state_residuals(snapshots: list[Field]) -> np.ndarray:

@@ -31,8 +31,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import Field, boundary_mass_fraction
-from .functionals import conserved
+from .grid import Field, Moments, boundary_mass_fraction, moments
 
 
 # stage sizes gamma_j (fractions of dt) of symmetric compositions of the
@@ -53,14 +52,29 @@ SCHEMES = {
 }
 
 
-def _free_fractions(gammas: tuple) -> tuple:
-    """Free-flow fractions of dt before, between and after the phase stages.
+def _free_flows(gammas: tuple, dt: float, K2: np.ndarray) -> list:
+    """Free-flow multipliers before, between and after the phase stages.
 
-    Stage j contributes half of gamma_j on either side of its phase; the two
-    halves that meet between stages commute and merge exactly.
+    Stage j contributes half of gamma_j dt on either side of its phase; the
+    two halves that meet between stages commute and merge exactly.  Equal
+    fractions share one array.
     """
     g = (0.0,) + gammas + (0.0,)
-    return tuple(0.5 * (g[j] + g[j + 1]) for j in range(len(g) - 1))
+    fractions = [0.5 * (g[j] + g[j + 1]) for j in range(len(g) - 1)]
+    cache = {a: np.exp(-1j * a * dt * K2) for a in dict.fromkeys(fractions)}
+    return [cache[a] for a in fractions]
+
+
+def _step(v: np.ndarray, dt: float, gammas: tuple, free: list) -> np.ndarray:
+    """One composition step of size dt on the samples v.
+
+    free[j] is the free flow before phase stage j and free[-1] the one after
+    the last stage, as `_free_flows` builds them for the same gammas and dt.
+    """
+    for mult, gamma in zip(free, gammas):
+        v = np.fft.ifft2(np.fft.fft2(v) * mult)
+        v = v * np.exp(1j * gamma * dt * np.abs(v) ** 4)
+    return np.fft.ifft2(np.fft.fft2(v) * free[-1])
 
 
 @dataclass(frozen=True)
@@ -153,15 +167,12 @@ class TrajectoryRecord:
         return self.outcome_t if self.outcome == BLOWUP_DETECTED else None
 
 
-def step_strang(f: Field, dt: float, nonlinear: bool = True) -> Field:
+def step_strang(f: Field, dt: float) -> Field:
     """One symmetric split step; advances the time stamp by dt."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt:g}")
-    half = np.exp(-0.5j * dt * f.grid.K2)
-    v = np.fft.ifft2(np.fft.fft2(f.values) * half)
-    if nonlinear:
-        v = v * np.exp(1j * dt * np.abs(v) ** 4)
-    v = np.fft.ifft2(np.fft.fft2(v) * half)
+    gammas = SCHEMES["strang"]
+    v = _step(f.values, dt, gammas, _free_flows(gammas, dt, f.grid.K2))
     return Field(f.grid, v, f.t + dt)
 
 
@@ -188,38 +199,26 @@ def detect_blowup(rec: TrajectoryRecord, controls: StepControls) -> float | None
     return None
 
 
-def _probe(u: Field, gs, base, rec: TrajectoryRecord, want_variance: bool):
+def _probe(u: Field, m: Moments, gs, rec: TrajectoryRecord, want_variance: bool):
     g = u.grid
-    fh = np.fft.fft2(u.values)
-    fh2 = np.abs(fh) ** 2
-    w = g.dx**2 / g.n**2
-    mass = float(g.dx**2 * np.sum(np.abs(u.values) ** 2))
-    grad_sq = float(w * np.sum(g.K2 * fh2))
-    total = float(np.sum(fh2))
-    tail = float(np.sum(fh2[g.tail_mask]) / total) if total > 0.0 else 0.0
-    l6 = float(g.dx**2 * np.sum(np.abs(u.values) ** 6))
-    # one consistent estimator throughout: drifts compare against a t = 0
-    # baseline computed the same way, so switching estimators mid-run would
-    # masquerade as conservation loss
-    energy = 0.5 * grad_sq - l6 / 6.0
-    momx = float(w * np.imag(np.sum(np.conj(fh) * (g.ikx * fh))))
-    momy = float(w * np.imag(np.sum(np.conj(fh) * (g.iky * fh))))
-    G = float(np.sqrt(mass * grad_sq) / gs.qq_gq)
+    G = float(np.sqrt(m.mass * m.grad_sq) / gs.qq_gq)
     var = np.nan
     if want_variance:
         if boundary_mass_fraction(u) <= 1e-10:
             var = float(g.dx**2 * np.sum((g.X**2 + g.Y**2) * np.abs(u.values) ** 2))
-    m0, e0 = base
+    # drifts compare against the t = 0 sample, read by the same kernel, so
+    # no change of estimator can masquerade as conservation loss
+    m0, e0 = rec.mass0, rec.energy0
     rec.add_sample(
         t=u.t,
-        grad_sq=grad_sq,
-        l6_6=l6,
-        mass_drift=(mass - m0) / m0 if m0 > 0.0 else 0.0,
-        energy_drift=(energy - e0) / max(abs(e0), 1e-3),
-        momx=momx,
-        momy=momy,
+        grad_sq=m.grad_sq,
+        l6_6=m.l6_6,
+        mass_drift=(m.mass - m0) / m0 if m0 > 0.0 else 0.0,
+        energy_drift=(m.energy - e0) / max(abs(e0), 1e-3),
+        momx=m.px,
+        momy=m.py,
         G=G,
-        tail=tail,
+        tail=m.tail,
         variance=var,
     )
 
@@ -244,11 +243,10 @@ def evolve(
         raise ValueError("t_end must exceed the field's current time")
     rec = TrajectoryRecord(f.grid, probes.variance)
     u = f.copy()
-    cs0 = conserved(u)
-    base = (cs0.mass, cs0.energy)
-    rec.mass0 = cs0.mass
-    rec.energy0 = cs0.energy
-    _probe(u, gs, base, rec, probes.variance)
+    m = moments(u)
+    rec.mass0 = m.mass
+    rec.energy0 = m.energy
+    _probe(u, m, gs, rec, probes.variance)
     snap_left = sorted(probes.snapshot_times)
     if snap_left and abs(snap_left[0] - u.t) < 1e-9:
         rec.snapshots.append(u.copy())
@@ -259,7 +257,6 @@ def evolve(
     n_probes = int(round((t_end - f.t) / probes.cadence))
     n_probes = max(n_probes, 1)
     gammas = SCHEMES[controls.scheme]
-    fractions = _free_fractions(gammas)
     last_dt = None
     free = None
     probe_index = 0
@@ -274,15 +271,9 @@ def evolve(
             dt = max(dt, controls.dt_min)
             dt = min(dt, target - u.t)
             if dt != last_dt:
-                # one multiplier per distinct free-flow fraction
-                free = {a: np.exp(-1j * a * dt * u.grid.K2)
-                        for a in dict.fromkeys(fractions)}
+                free = _free_flows(gammas, dt, u.grid.K2)
                 last_dt = dt
-            v = u.values
-            for a, gamma in zip(fractions, gammas):
-                v = np.fft.ifft2(np.fft.fft2(v) * free[a])
-                v = v * np.exp(1j * gamma * dt * np.abs(v) ** 4)
-            v = np.fft.ifft2(np.fft.fft2(v) * free[fractions[-1]])
+            v = _step(u.values, dt, gammas, free)
             rec.steps_taken += 1
             if not np.all(np.isfinite(v.view(np.float64))):
                 # overflow near collapse counts as a blow-up signal
@@ -291,7 +282,7 @@ def evolve(
             u = Field(u.grid, v, u.t + dt)
         u.t = target  # resync against accumulated roundoff
         probe_index += 1
-        _probe(u, gs, base, rec, probes.variance)
+        _probe(u, moments(u), gs, rec, probes.variance)
         if snap_left and abs(snap_left[0] - target) < 1e-9:
             rec.snapshots.append(u.copy())
             snap_left.pop(0)

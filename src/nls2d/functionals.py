@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, l2_norm_sq, gradient_norm_sq, lp_norm_p
+from .grid import Field, Moments, moments
 
 
 @dataclass(frozen=True)
@@ -52,30 +52,23 @@ class RenormalizedSet:
 
 
 def conserved(f: Field) -> ConservedSet:
-    """Mass, energy, and momentum of a field.
+    """Mass, energy, and momentum of a field (see `moments`)."""
+    m = moments(f)
+    return ConservedSet(mass=m.mass, energy=m.energy, momentum=np.array([m.px, m.py]))
 
-    Momentum is computed spectrally, Im sum conj(uh) * i k * uh / n^2 * dx^2,
-    consistent with the spectral gradient norm.
+
+def renormalized(m: Moments, gs) -> RenormalizedSet:
+    """Renormalized gradient, momentum, and mass-energy against a ground state.
+
+    Takes the moments of the field, so a caller that also needs its mass or
+    energy reads the field once.
     """
-    mass = l2_norm_sq(f)
-    energy = 0.5 * gradient_norm_sq(f) - lp_norm_p(f, 6) / 6.0
-    fh = np.fft.fft2(f.values)
-    w = f.grid.dx**2 / f.grid.n**2
-    px = w * np.imag(np.sum(np.conj(fh) * (f.grid.ikx * fh)))
-    py = w * np.imag(np.sum(np.conj(fh) * (f.grid.iky * fh)))
-    return ConservedSet(mass=mass, energy=energy, momentum=np.array([px, py]))
-
-
-def renormalized(f: Field, gs) -> RenormalizedSet:
-    """Renormalized gradient, momentum, and mass-energy against a ground state."""
     if not gs.certified:
         raise ValueError("ground state is not certified")
-    cs = conserved(f)
     qq_gq = gs.qq_gq  # ||Q|| ||grad Q||
-    grad = gradient_norm_sq(f)
-    G = float(np.sqrt(cs.mass * grad) / qq_gq)
-    pn_vec = cs.momentum / qq_gq
-    ME = cs.mass * cs.energy / (gs.massQ * gs.energyQ)
+    G = float(np.sqrt(m.mass * m.grad_sq) / qq_gq)
+    pn_vec = np.array([m.px, m.py]) / qq_gq
+    ME = m.mass * m.energy / (gs.massQ * gs.energyQ)
     return RenormalizedSet(G=G, Pn=float(np.hypot(*pn_vec)), ME=float(ME), Pn_vec=pn_vec)
 
 

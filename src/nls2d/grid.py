@@ -10,6 +10,7 @@ dx^2 * sum, which is spectrally accurate for smooth periodic integrands.
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,18 +43,16 @@ class SpectralGrid:
         self.R = np.hypot(self.X, self.Y)
         # signed wavenumbers, Nyquist negative
         self.k1d = 2.0 * np.pi * np.fft.fftfreq(n, d=self.dx)
-        self.KX, self.KY = np.meshgrid(self.k1d, self.k1d, indexing="ij")
-        self.K2 = self.KX**2 + self.KY**2
-        self.Kmag = np.sqrt(self.K2)
+        self.K2 = self.k1d[:, None] ** 2 + self.k1d[None, :] ** 2
         self.k_nyquist = np.pi * n / L
-        # derivative multipliers with the Nyquist row zeroed
+        # derivative multipliers with the Nyquist row zeroed, held as (n, 1)
+        # and (1, n) axes that broadcast against a field
         kd = self.k1d.copy()
         kd[n // 2] = 0.0
-        KXd, KYd = np.meshgrid(kd, kd, indexing="ij")
-        self.ikx = 1j * KXd
-        self.iky = 1j * KYd
+        self.ikx = 1j * kd[:, None]
+        self.iky = 1j * kd[None, :]
         # modes past 2/3 Nyquist count as spectral tail
-        self.tail_mask = self.Kmag > (2.0 / 3.0) * self.k_nyquist
+        self.tail_mask = np.sqrt(self.K2) > (2.0 / 3.0) * self.k_nyquist
 
     def __eq__(self, other):
         return (
@@ -85,43 +84,43 @@ class Field:
         return Field(self.grid, self.values.copy(), self.t)
 
 
-def dft_forward(f: Field) -> np.ndarray:
-    """Unnormalized forward 2D DFT of the field samples."""
-    return np.fft.fft2(f.values)
+@dataclass(frozen=True)
+class Moments:
+    """The discrete invariants of a field, read off one forward FFT.
+
+    Integrals are dx^2 * sum over the samples; the gradient norm and the
+    momentum are Parseval sums over the spectrum, and the tail is the share
+    of sum |uh|^2 carried by the modes past 2/3 Nyquist.
+    """
+
+    mass: float      # int |u|^2
+    grad_sq: float   # int |grad u|^2
+    l6_6: float      # int |u|^6
+    px: float        # Im int conj(u) du/dx
+    py: float        # Im int conj(u) du/dy
+    tail: float
+
+    @property
+    def energy(self) -> float:
+        return 0.5 * self.grad_sq - self.l6_6 / 6.0
 
 
-def dft_inverse(grid: SpectralGrid, coeffs: np.ndarray, t: float = 0.0) -> Field:
-    """Inverse 2D DFT (carries the 1/n^2 normalization)."""
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if coeffs.shape != (grid.n, grid.n):
-        raise ValueError(
-            f"coefficient shape {coeffs.shape} does not match grid n={grid.n}"
-        )
-    return Field(grid, np.fft.ifft2(coeffs), t)
-
-
-def l2_norm_sq(f: Field) -> float:
-    """Squared L2 norm, dx^2 * sum |f|^2 (the mass integral)."""
-    return float(f.grid.dx**2 * np.sum(np.abs(f.values) ** 2))
-
-
-def gradient_norm_sq(f: Field) -> float:
-    """Squared L2 norm of the gradient, computed spectrally by Parseval."""
+def moments(f: Field) -> Moments:
+    """Mass, gradient norm, L6 integral, momentum and spectral tail of f."""
+    g = f.grid
     fh = np.fft.fft2(f.values)
-    return float(f.grid.dx**2 / f.grid.n**2 * np.sum(f.grid.K2 * np.abs(fh) ** 2))
-
-
-def hhalf_norm_sq(f: Field) -> float:
-    """Squared homogeneous half-derivative norm (|k| multiplier once)."""
-    fh = np.fft.fft2(f.values)
-    return float(f.grid.dx**2 / f.grid.n**2 * np.sum(f.grid.Kmag * np.abs(fh) ** 2))
-
-
-def lp_norm_p(f: Field, p: int) -> float:
-    """The integral of |f|^p for even p in {2, 4, 6, 8}."""
-    if p not in (2, 4, 6, 8):
-        raise ValueError(f"unsupported p={p}; expected one of 2, 4, 6, 8")
-    return float(f.grid.dx**2 * np.sum(np.abs(f.values) ** p))
+    fh2 = np.abs(fh) ** 2
+    w = g.dx**2 / g.n**2
+    a = np.abs(f.values)
+    total = float(np.sum(fh2))
+    return Moments(
+        mass=float(g.dx**2 * np.sum(a**2)),
+        grad_sq=float(w * np.sum(g.K2 * fh2)),
+        l6_6=float(g.dx**2 * np.sum(a**6)),
+        px=float(w * np.imag(np.sum(np.conj(fh) * (g.ikx * fh)))),
+        py=float(w * np.imag(np.sum(np.conj(fh) * (g.iky * fh)))),
+        tail=float(np.sum(fh2[g.tail_mask]) / total) if total > 0.0 else 0.0,
+    )
 
 
 def spectral_gradient(f: Field) -> tuple[np.ndarray, np.ndarray]:
@@ -130,15 +129,6 @@ def spectral_gradient(f: Field) -> tuple[np.ndarray, np.ndarray]:
     ux = np.fft.ifft2(f.grid.ikx * fh)
     uy = np.fft.ifft2(f.grid.iky * fh)
     return ux, uy
-
-
-def tail_fraction(f: Field) -> float:
-    """Fraction of L2 energy carried by modes beyond 2/3 of Nyquist."""
-    fh2 = np.abs(np.fft.fft2(f.values)) ** 2
-    total = np.sum(fh2)
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(fh2[f.grid.tail_mask]) / total)
 
 
 def boundary_sup(f: Field) -> float:

@@ -29,9 +29,7 @@ from .grid import (
     Field,
     SpectralGrid,
     boundary_sup,
-    gradient_norm_sq,
-    l2_norm_sq,
-    lp_norm_p,
+    moments,
     read_checkpoint,
     write_checkpoint,
 )
@@ -225,6 +223,34 @@ def pohozhaev_check(gs: GroundState) -> np.ndarray:
     return _identity_residuals(gs.massQ, gs.gradQ_sq, gs.l6Q_6)
 
 
+def _certify(f: Field, profile: RadialProfile, method: str, tol: float,
+             s_final: float) -> GroundState:
+    """The ground state of a grid solution, certified against the oracle.
+
+    Certified when the five identity residuals are within 1e-6 relative and
+    the real part of the field is within 1e-5 of the radial profile in sup
+    norm.
+    """
+    m = moments(f)
+    residuals = _identity_residuals(m.mass, m.grad_sq, m.l6_6)
+    sup_err = float(np.max(np.abs(f.values.real - profile.q_of(f.grid.R))))
+    certified = bool(np.all(np.abs(residuals) <= 1e-6) and sup_err <= 1e-5)
+    return GroundState(
+        radial_profile=profile,
+        field=f,
+        massQ=m.mass,
+        gradQ_sq=m.grad_sq,
+        l6Q_6=m.l6_6,
+        c_gn=3.0 / (4.0 * m.mass**2),
+        certified=certified,
+        residuals=residuals,
+        method=method,
+        tol=tol,
+        sup_err_vs_oracle=sup_err,
+        s_final=s_final,
+    )
+
+
 def solve_petviashvili(
     grid: SpectralGrid,
     tol: float = 1e-10,
@@ -267,26 +293,7 @@ def solve_petviashvili(
         )
 
     f = Field(grid, u.astype(np.complex128), 0.0)
-    mass = l2_norm_sq(f)
-    grad_sq = gradient_norm_sq(f)
-    l6 = lp_norm_p(f, 6)
-    residuals = _identity_residuals(mass, grad_sq, l6)
-    sup_err = float(np.max(np.abs(u - profile.q_of(grid.R))))
-    certified = bool(np.all(np.abs(residuals) <= 1e-6) and sup_err <= 1e-5)
-    return GroundState(
-        radial_profile=profile,
-        field=f,
-        massQ=mass,
-        gradQ_sq=grad_sq,
-        l6Q_6=l6,
-        c_gn=3.0 / (4.0 * mass**2),
-        certified=certified,
-        residuals=residuals,
-        method="petviashvili",
-        tol=tol,
-        sup_err_vs_oracle=sup_err,
-        s_final=float(S),
-    )
+    return _certify(f, profile, "petviashvili", tol, float(S))
 
 
 def gn_inequality_check(f: Field, gs: GroundState) -> float:
@@ -297,9 +304,8 @@ def gn_inequality_check(f: Field, gs: GroundState) -> float:
     """
     if not gs.certified:
         raise ValueError("ground state is not certified")
-    return float(
-        gs.c_gn * l2_norm_sq(f) * gradient_norm_sq(f) ** 2 - lp_norm_p(f, 6)
-    )
+    m = moments(f)
+    return float(gs.c_gn * m.mass * m.grad_sq ** 2 - m.l6_6)
 
 
 def make_initial_data(
@@ -411,23 +417,6 @@ def load_ground_state(path: str, grid: SpectralGrid | None = None) -> GroundStat
     f = read_checkpoint(path, grid)
     profile = _integrate_profile(float(sidecar["shooting"]["q0"]),
                                  float(sidecar["shooting"]["tol"]))
-    mass = l2_norm_sq(f)
-    grad_sq = gradient_norm_sq(f)
-    l6 = lp_norm_p(f, 6)
-    residuals = _identity_residuals(mass, grad_sq, l6)
-    sup_err = float(np.max(np.abs(f.values.real - profile.q_of(f.grid.R))))
-    certified = bool(np.all(np.abs(residuals) <= 1e-6) and sup_err <= 1e-5)
-    return GroundState(
-        radial_profile=profile,
-        field=f,
-        massQ=mass,
-        gradQ_sq=grad_sq,
-        l6Q_6=l6,
-        c_gn=3.0 / (4.0 * mass**2),
-        certified=certified,
-        residuals=residuals,
-        method=str(sidecar.get("method", "cache")),
-        tol=float(sidecar.get("tol", np.nan)),
-        sup_err_vs_oracle=sup_err,
-        s_final=float(sidecar.get("s_final", np.nan)),
-    )
+    return _certify(f, profile, str(sidecar.get("method", "cache")),
+                    float(sidecar.get("tol", np.nan)),
+                    float(sidecar.get("s_final", np.nan)))

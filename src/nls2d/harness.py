@@ -15,8 +15,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .grid import SpectralGrid, write_checkpoint, read_checkpoint, Field
-from .functionals import conserved, renormalized, window_check
+from .grid import SpectralGrid, write_checkpoint, read_checkpoint, Field, moments
+from .functionals import renormalized, window_check
 from .ground_state import (
     CertificationError,
     gn_inequality_check,
@@ -387,12 +387,13 @@ def cmd_verify(cfg: dict) -> bool:
 
     lam = 0.9
     f9 = make_initial_data("scaled_q", {"lam": lam}, grid, gs=gs)
-    w = window_check(renormalized(f9, gs))
+    m9 = moments(f9)
+    w = window_check(renormalized(m9, gs))
     record("scaled datum inside the window", w.status == "inside",
            f"margins {w.lower_margin:.2e}, {w.upper_margin:.2e}")
 
     stepped = step_strang(f9, 1e-3)
-    md = abs(conserved(stepped).mass - conserved(f9).mass) / conserved(f9).mass
+    md = abs(moments(stepped).mass - m9.mass) / m9.mass
     record("single-step mass preservation", md <= 1e-13, f"drift {md:.2e}")
 
     import tempfile

@@ -90,13 +90,14 @@ def test_step_time_reversible(grid_128):
 
 
 def test_linear_step_matches_free_evolution(grid_128):
-    # with the nonlinear phase off, one long step is exact for the free flow
-    f = gaussian(grid_128)
+    # at amplitude 1e-6 the phase rotation dt |u|^4 = 3e-25 is far below
+    # roundoff, so one long step is the exact free flow
+    f = gaussian(grid_128, amp=1e-6)
     dt = 0.3
-    u = step_strang(f, dt, nonlinear=False)
+    u = step_strang(f, dt)
     fh = np.fft.fft2(f.values) * np.exp(-1j * dt * grid_128.K2)
     exact = np.fft.ifft2(fh)
-    assert np.max(np.abs(u.values - exact)) < 1e-13
+    assert np.max(np.abs(u.values - exact)) < 1e-13 * np.max(np.abs(f.values))
 
 
 def test_strang_energy_error_is_second_order(gs_cert, grid_256):
@@ -183,7 +184,8 @@ def test_evolve_flags_underresolved(gs_cert, grid_128):
     g = grid_128
     rng = np.random.default_rng(3)
     phases = np.exp(2j * np.pi * rng.random((g.n, g.n)))
-    shell = (g.Kmag > 0.75 * g.k_nyquist) & (g.Kmag < 0.9 * g.k_nyquist)
+    kmag = np.sqrt(g.K2)
+    shell = (kmag > 0.75 * g.k_nyquist) & (kmag < 0.9 * g.k_nyquist)
     noise = np.fft.ifft2(np.where(shell, phases, 0.0))
     noise *= 0.02 / np.max(np.abs(noise))
     f = Field(g, gaussian(g, 0.3, 1.0).values + noise)
@@ -245,13 +247,43 @@ def test_galilean_covariance_of_split_flow(gs_cert):
                      ProbeSpec(cadence=0.25, snapshot_times=(t_end,))).snapshots[-1]
     u_boost = boosted.snapshots[-1]
     # translate the plain solution by 2 xi t (spectral shift), then rephase
-    shift = np.exp(-1j * (g.KX * 2.0 * xi[0] * t_end + g.KY * 2.0 * xi[1] * t_end))
+    kx, ky = g.k1d[:, None], g.k1d[None, :]
+    shift = np.exp(-1j * (kx * 2.0 * xi[0] * t_end + ky * 2.0 * xi[1] * t_end))
     translated = np.fft.ifft2(np.fft.fft2(u_plain.values) * shift)
     phase = np.exp(1j * (xi[0] * g.X + xi[1] * g.Y - (xi @ xi) * t_end))
     predicted = translated * phase
     err = np.max(np.abs(u_boost.values - predicted))
     assert err < 1e-11
     assert plain.outcome == RAN_TO_T_END
+
+
+def test_evolve_commutes_with_grid_symmetries(gs_cert, grid_128):
+    # the transpose and the reflection i -> (n - i) mod n along x generate
+    # the symmetry group of the square grid, and the split flow commutes
+    # with both up to roundoff; the datum is off centre and moving, so the
+    # momentum components are distinct and nonzero: they swap under the
+    # transpose and px changes sign under the reflection
+    g = grid_128
+    vals = 0.9 * np.exp(-((g.X - 1.5) ** 2 / 2.9 + (g.Y + 0.75) ** 2 / 1.3)
+                        + 1j * (0.5 * g.X - 0.25 * g.Y))
+    t_end = 0.5
+
+    def run(v):
+        return evolve(Field(g, v), t_end, StepControls(), gs_cert,
+                      ProbeSpec(cadence=0.05, snapshot_times=(t_end,)))
+
+    base = run(vals)
+    assert base.outcome == RAN_TO_T_END
+    for op, momx, momy, bound in (
+        (lambda v: np.ascontiguousarray(v.T), base.momy, base.momx, 5e-14),
+        (lambda v: np.roll(v[::-1], 1, axis=0), -np.asarray(base.momx),
+         base.momy, 5e-13),
+    ):
+        rec = run(op(vals))
+        dev = np.max(np.abs(rec.snapshots[-1].values - op(base.snapshots[-1].values)))
+        assert dev < bound
+        assert np.max(np.abs(np.subtract(rec.momx, momx))) < bound
+        assert np.max(np.abs(np.subtract(rec.momy, momy))) < bound
 
 
 def test_trajectory_csv_round_trip(gs_cert, grid_128, tmp_path):

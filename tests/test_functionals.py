@@ -11,6 +11,7 @@ from nls2d import (
     galilean_boost,
     galilean_reduce,
     make_initial_data,
+    moments,
     renormalized,
     window_check,
 )
@@ -80,7 +81,7 @@ def test_reduce_zeroes_momentum():
 
 
 def test_renormalized_at_ground_state(gs_cert):
-    r = renormalized(gs_cert.field, gs_cert)
+    r = renormalized(moments(gs_cert.field), gs_cert)
     assert r.G == pytest.approx(1.0, rel=1e-13)
     assert r.ME == pytest.approx(1.0, rel=1e-13)
     assert abs(r.Pn) < 1e-14
@@ -91,7 +92,7 @@ def test_renormalized_scaling_line(gs_cert, grid_cert):
     # so G = lam and ME = 2 lam^2 - lam^4
     lam = 0.9
     f = make_initial_data("scaled_q", {"lam": lam}, grid_cert, gs=gs_cert)
-    r = renormalized(f, gs_cert)
+    r = renormalized(moments(f), gs_cert)
     assert r.G == pytest.approx(lam, rel=1e-7)
     assert r.ME == pytest.approx(2.0 * lam**2 - lam**4, rel=1e-6)
     cs = conserved(f)
@@ -103,9 +104,9 @@ def test_boost_me_identity(gs_cert):
     g = SpectralGrid(128, 8.0 * np.pi)
     k0 = 2.0 * np.pi / g.L
     f = gaussian(g, 0.6, 1.0)
-    r0 = renormalized(f, gs_cert)
+    r0 = renormalized(moments(f), gs_cert)
     for xi in ((2.0 * k0, 0.0), (0.0, 4.0 * k0)):
-        r1 = renormalized(galilean_boost(f, np.asarray(xi)), gs_cert)
+        r1 = renormalized(moments(galilean_boost(f, np.asarray(xi))), gs_cert)
         assert r1.ME - 2.0 * r1.Pn**2 == pytest.approx(r0.ME, abs=1e-9)
         assert r1.G**2 - r1.Pn**2 == pytest.approx(r0.G**2, abs=1e-9)
 
@@ -136,7 +137,7 @@ def test_window_check_on_scaling_line(gs_cert, grid_cert):
     # the scaling line sits exactly on the lower boundary of the window;
     # quadrature noise must not push it outside at a reasonable tolerance
     f = make_initial_data("scaled_q", {"lam": 1.1}, grid_cert, gs=gs_cert)
-    r = renormalized(f, gs_cert)
+    r = renormalized(moments(f), gs_cert)
     rep = window_check(r, tol=1e-4)
     assert rep.status == "inside"
     assert abs(rep.lower_margin) < 1e-5

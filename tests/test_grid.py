@@ -4,7 +4,6 @@ Oracle values for the width-w Gaussian A*exp(-r^2/(2 w^2)) on the plane:
     mass            pi A^2 w^2
     grad norm sq    pi A^2
     L6 norm^6       (pi/3) A^6 w^2
-    half-deriv sq   A^2 w * pi^(3/2) / 2
     variance        pi A^2 w^4
 These hold on the periodic box to spectral accuracy because the datum and
 its transform both decay far below roundoff before the boundary/Nyquist.
@@ -18,15 +17,9 @@ from nls2d import (
     SpectralGrid,
     boundary_mass_fraction,
     boundary_sup,
-    dft_forward,
-    dft_inverse,
-    gradient_norm_sq,
-    hhalf_norm_sq,
-    l2_norm_sq,
-    lp_norm_p,
+    moments,
     read_checkpoint,
     spectral_gradient,
-    tail_fraction,
     write_checkpoint,
 )
 
@@ -66,88 +59,40 @@ def test_field_validation():
         Field(g, bad)
 
 
-def test_dft_round_trip(rng):
-    g = SpectralGrid(64, 16.0)
-    vals = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-    f = Field(g, vals)
-    back = dft_inverse(g, dft_forward(f))
-    assert np.max(np.abs(back.values - vals)) < 1e-13
-
-
 def test_constant_field_norms():
     g = SpectralGrid(64, 16.0)
-    f = Field(g, np.full((64, 64), 0.5 + 0.0j))
-    assert l2_norm_sq(f) == pytest.approx(0.25 * 16.0**2, rel=1e-14)
-    assert gradient_norm_sq(f) == pytest.approx(0.0, abs=1e-24)
-    assert hhalf_norm_sq(f) == pytest.approx(0.0, abs=1e-24)
+    m = moments(Field(g, np.full((64, 64), 0.5 + 0.0j)))
+    assert m.mass == pytest.approx(0.25 * 16.0**2, rel=1e-14)
+    assert m.grad_sq == pytest.approx(0.0, abs=1e-24)
 
 
 def test_single_mode_gradient():
     g = SpectralGrid(64, 16.0)
     k0 = 3 * (2.0 * np.pi / 16.0)
-    f = Field(g, np.exp(1j * k0 * g.X))
+    m = moments(Field(g, np.exp(1j * k0 * g.X)))
     area = 16.0**2
-    assert l2_norm_sq(f) == pytest.approx(area, rel=1e-13)
-    assert gradient_norm_sq(f) == pytest.approx(k0**2 * area, rel=1e-13)
-    assert hhalf_norm_sq(f) == pytest.approx(k0 * area, rel=1e-13)
+    assert m.mass == pytest.approx(area, rel=1e-13)
+    assert m.grad_sq == pytest.approx(k0**2 * area, rel=1e-13)
+    # the mode travels along x: momentum k0 * area, none along y
+    assert m.px == pytest.approx(k0 * area, rel=1e-13)
+    assert abs(m.py) <= 1e-13 * k0 * area
 
 
 def test_gaussian_norm_oracles():
     g = SpectralGrid(256, 32.0)
     amp, width = 0.7, 1.3
-    f = gaussian(g, amp, width)
-    assert l2_norm_sq(f) == pytest.approx(np.pi * amp**2 * width**2, rel=1e-12)
-    assert gradient_norm_sq(f) == pytest.approx(np.pi * amp**2, rel=1e-12)
-    assert lp_norm_p(f, 6) == pytest.approx(
-        np.pi / 3.0 * amp**6 * width**2, rel=1e-12)
-    assert lp_norm_p(f, 4) == pytest.approx(
-        np.pi / 2.0 * amp**4 * width**2, rel=1e-12)
-    # the |k| multiplier has a kink at the origin, so this quadrature is
-    # third order in the wavenumber spacing rather than spectral; check the
-    # value coarsely and the refinement rate explicitly
-    exact = amp**2 * width * np.pi**1.5 / 2.0
-    err_coarse = abs(hhalf_norm_sq(f) - exact)
-    assert err_coarse < 2e-3 * exact
-    g_fine = SpectralGrid(512, 64.0)
-    f_fine = gaussian(g_fine, amp, width)
-    err_fine = abs(hhalf_norm_sq(f_fine) - exact)
-    assert err_fine < 0.2 * err_coarse
-
-
-def test_lp_norm_rejects_bad_exponent():
-    g = SpectralGrid(64, 16.0)
-    with pytest.raises(ValueError):
-        lp_norm_p(gaussian(g), 3)
-
-
-def test_hhalf_interpolation_bound(rng):
-    # |k| <= sqrt(1 + k^2) pointwise gives ||u||_{1/2}^2 <= ||u|| ||grad u||
-    # by Cauchy-Schwarz; check on random smooth fields
-    g = SpectralGrid(64, 16.0)
-    for _ in range(5):
-        vals = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-        sm = np.fft.ifft2(np.fft.fft2(vals) * np.exp(-0.05 * g.K2))
-        f = Field(g, sm)
-        assert hhalf_norm_sq(f) <= np.sqrt(
-            l2_norm_sq(f) * gradient_norm_sq(f)) * (1.0 + 1e-12)
+    m = moments(gaussian(g, amp, width))
+    assert m.mass == pytest.approx(np.pi * amp**2 * width**2, rel=1e-12)
+    assert m.grad_sq == pytest.approx(np.pi * amp**2, rel=1e-12)
+    assert m.l6_6 == pytest.approx(np.pi / 3.0 * amp**6 * width**2, rel=1e-12)
 
 
 def test_norms_grid_independent():
-    fine = gaussian(SpectralGrid(256, 32.0))
-    coarse = gaussian(SpectralGrid(128, 32.0))
-    assert l2_norm_sq(fine) == pytest.approx(l2_norm_sq(coarse), rel=1e-12)
-    assert gradient_norm_sq(fine) == pytest.approx(
-        gradient_norm_sq(coarse), rel=1e-12)
-    assert lp_norm_p(fine, 6) == pytest.approx(lp_norm_p(coarse, 6), rel=1e-12)
-
-
-def test_parseval():
-    g = SpectralGrid(128, 32.0)
-    f = gaussian(g, 1.1, 0.9)
-    coeffs = dft_forward(f)
-    # dft_forward is the unnormalized fft2, so Parseval carries 1/n^2
-    via_coeffs = np.sum(np.abs(coeffs) ** 2) * g.dx**2 / g.n**2
-    assert l2_norm_sq(f) == pytest.approx(via_coeffs, rel=1e-13)
+    fine = moments(gaussian(SpectralGrid(256, 32.0)))
+    coarse = moments(gaussian(SpectralGrid(128, 32.0)))
+    assert fine.mass == pytest.approx(coarse.mass, rel=1e-12)
+    assert fine.grad_sq == pytest.approx(coarse.grad_sq, rel=1e-12)
+    assert fine.l6_6 == pytest.approx(coarse.l6_6, rel=1e-12)
 
 
 def test_spectral_gradient_matches_analytic():
@@ -163,10 +108,10 @@ def test_spectral_gradient_matches_analytic():
 def test_tail_fraction_extremes():
     g = SpectralGrid(64, 16.0)
     smooth = gaussian(g)
-    assert tail_fraction(smooth) < 1e-12
+    assert moments(smooth).tail < 1e-12
     kmax = np.pi / g.dx
     rough = Field(g, np.exp(1j * 0.9 * kmax * g.X))
-    assert tail_fraction(rough) > 0.99
+    assert moments(rough).tail > 0.99
 
 
 def test_boundary_probes():
