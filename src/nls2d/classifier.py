@@ -11,7 +11,7 @@ simulated trajectory actually did.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,16 +49,7 @@ class Verdict:
     finite_variance: bool
 
     def to_json(self) -> dict:
-        return {
-            "case": self.case,
-            "ME": self.ME,
-            "G0": self.G0,
-            "Pn": self.Pn,
-            "me_minus_2p2": self.me_minus_2p2,
-            "g2_minus_p2": self.g2_minus_p2,
-            "radial": self.radial,
-            "finite_variance": self.finite_variance,
-        }
+        return asdict(self)
 
 
 def write_verdict_json(verdict: Verdict, path: str) -> None:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, NamedTuple
 
+from .evolution import StepControls
+
 
 class ConfigError(ValueError):
     """Raised with the full list of config problems."""
@@ -75,7 +77,7 @@ SCHEMA: dict[str, Any] = {
     "probes": {
         "cadence": Item((float,), "time between recorded samples", _positive),
         "variance": Item((bool,), "record the variance column (needs compact support)"),
-        "snapshot_every": Item((int, type(None)), "keep every k-th probe as a full field",
+        "snapshot_every": Item((int, type(None)), "virial trace stride in probes (null: 4)",
                                lambda v: None if v is None or v > 0 else "must be positive"),
     },
     "t_end": Item((int, float), "integration horizon", _positive),
@@ -190,9 +192,10 @@ def validate_config(user: dict) -> dict:
     problems: list[str] = []
     merged = _deep_copy(DEFAULTS)
     _walk(SCHEMA, DEFAULTS, user, "", problems, merged)
-    c = merged["controls"]
-    if not (c["dt_min"] <= c["dt0"] <= c["dt_max"]):
-        problems.append("controls: need dt_min <= dt0 <= dt_max")
+    try:
+        StepControls(**merged["controls"])
+    except ValueError as exc:
+        problems.append(f"controls: {exc}")
     d = merged["diagnostics"]
     if not (d["kappa"] < d["kappa0"]):
         problems.append("diagnostics: need kappa < kappa0")

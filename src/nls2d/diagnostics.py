@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -375,15 +375,7 @@ class ScatteringReport:
     window: tuple
 
     def to_json(self) -> dict:
-        return {
-            "l6_decay_factor": self.l6_decay_factor,
-            "d_T2_over_H1": self.d_T2_over_H1,
-            "verdict": self.verdict,
-            "d_mid_over_H1": self.d_mid_over_H1,
-            "monotone_ok": self.monotone_ok,
-            "box_exit_flagged": self.box_exit_flagged,
-            "window": list(self.window),
-        }
+        return {**asdict(self), "window": list(self.window)}
 
 
 def _h1_norm(f: Field) -> float:
@@ -411,14 +403,15 @@ def asymptotic_state_residuals(snapshots: list[Field]) -> np.ndarray:
     return np.array(out)
 
 
-def scattering_detect(rec, window: tuple[float, float]) -> ScatteringReport:
+def scattering_detect(rec, window: tuple[float, float],
+                      snapshots: list[Field]) -> ScatteringReport:
     """Scattering detector over [T1, T2]: L6 decay plus free-flow comparison.
 
-    Requires a trajectory that ran to its end without blow-up, with
-    snapshots covering the window.  Verdict is scatter_like iff the recorded
-    int |u|^6 decays by at least 10x from its window maximum to T2, d(t) is
-    decreasing within noise across the window, and d just before T2 is at
-    most 5% of the initial H1 norm.
+    Requires a trajectory that ran to its end without blow-up; reads the
+    given snapshots of it that lie in the window.  Verdict is scatter_like
+    iff the recorded int |u|^6 decays by at least 10x from its window
+    maximum to T2, d(t) is decreasing within noise across the window, and d
+    just before T2 is at most 5% of the initial H1 norm.
     """
     T1, T2 = window
     from .evolution import RAN_TO_T_END  # local import to avoid a cycle
@@ -428,7 +421,7 @@ def scattering_detect(rec, window: tuple[float, float]) -> ScatteringReport:
     times = np.asarray(rec.times)
     if T2 > times[-1] + 1e-9 or T1 < times[0] - 1e-9:
         raise ValueError("window exceeds the recorded trajectory")
-    snaps = [s for s in rec.snapshots if T1 - 1e-9 <= s.t <= T2 + 1e-9]
+    snaps = [s for s in snapshots if T1 - 1e-9 <= s.t <= T2 + 1e-9]
     if len(snaps) < 3:
         raise ValueError("need at least 3 snapshots inside the window")
 

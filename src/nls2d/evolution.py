@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,8 +109,7 @@ class StepControls:
 class ProbeSpec:
     cadence: float = 1e-2
     variance: bool = False
-    snapshot_times: tuple = ()   # must align with the probe cadence
-    snapshot_every: int | None = None   # keep every k-th probe field
+    snapshot_times: tuple = ()   # probes whose fields are kept, once each
 
 
 RAN_TO_T_END = "ran_to_t_end"
@@ -165,6 +164,15 @@ class TrajectoryRecord:
     @property
     def t_star(self) -> float | None:
         return self.outcome_t if self.outcome == BLOWUP_DETECTED else None
+
+    def snapshots_at(self, times) -> list[Field]:
+        """The kept fields whose times `times` names, in time order."""
+        return [s for s in self.snapshots if _named(times, s.t)]
+
+
+def _named(times, t: float) -> bool:
+    """Whether the probe time t is one of times, to within 1e-9."""
+    return any(abs(s - t) < 1e-9 for s in times)
 
 
 def step_strang(f: Field, dt: float) -> Field:
@@ -235,59 +243,48 @@ def evolve(
     The step is dt = clamp(cfl_c / ||u||_inf^4, dt_min, dt_max), which bounds
     the nonlinear phase rotation per step by cfl_c; fixed-step runs pin
     dt_min = dt_max.  Each step is the composition `controls.scheme` names.
-    Probes are recorded at uniform cadence.
+    Probes are recorded at uniform cadence, t = f.t included.
     """
     if probes is None:
         probes = ProbeSpec()
     if t_end <= f.t:
         raise ValueError("t_end must exceed the field's current time")
     rec = TrajectoryRecord(f.grid, probes.variance)
-    u = f.copy()
-    m = moments(u)
-    rec.mass0 = m.mass
-    rec.energy0 = m.energy
-    _probe(u, m, gs, rec, probes.variance)
-    snap_left = sorted(probes.snapshot_times)
-    if snap_left and abs(snap_left[0] - u.t) < 1e-9:
-        rec.snapshots.append(u.copy())
-        snap_left.pop(0)
-    if probes.snapshot_every:
-        rec.snapshots.append(u.copy())
-
-    n_probes = int(round((t_end - f.t) / probes.cadence))
-    n_probes = max(n_probes, 1)
+    n_probes = max(int(round((t_end - f.t) / probes.cadence)), 1)
     gammas = SCHEMES[controls.scheme]
     last_dt = None
     free = None
-    probe_index = 0
     stalled_tail_streak = 0
-    for i in range(1, n_probes + 1):
+    v, t = f.values, f.t
+    for i in range(n_probes + 1):
         target = f.t + i * probes.cadence if i < n_probes else t_end
-        while u.t < target - 1e-12:
-            sup4 = float(np.max(np.abs(u.values))) ** 4
+        while t < target - 1e-12:
+            sup4 = float(np.max(np.abs(v))) ** 4
             dt = controls.dt_max if sup4 == 0.0 else min(
                 controls.dt_max, controls.cfl_c / sup4
             )
             dt = max(dt, controls.dt_min)
-            dt = min(dt, target - u.t)
+            dt = min(dt, target - t)
             if dt != last_dt:
-                free = _free_flows(gammas, dt, u.grid.K2)
+                free = _free_flows(gammas, dt, f.grid.K2)
                 last_dt = dt
-            v = _step(u.values, dt, gammas, free)
+            v = _step(v, dt, gammas, free)
             rec.steps_taken += 1
             if not np.all(np.isfinite(v.view(np.float64))):
                 # overflow near collapse counts as a blow-up signal
-                rec.set_outcome(BLOWUP_DETECTED, u.t)
+                rec.set_outcome(BLOWUP_DETECTED, t)
                 return rec
-            u = Field(u.grid, v, u.t + dt)
-        u.t = target  # resync against accumulated roundoff
-        probe_index += 1
-        _probe(u, moments(u), gs, rec, probes.variance)
-        if snap_left and abs(snap_left[0] - target) < 1e-9:
+            t += dt
+        t = target  # resync against accumulated roundoff
+        u = Field(f.grid, v, t)
+        m = moments(u)
+        if not i:
+            rec.mass0, rec.energy0 = m.mass, m.energy
+        _probe(u, m, gs, rec, probes.variance)
+        if _named(probes.snapshot_times, t):
             rec.snapshots.append(u.copy())
-            snap_left.pop(0)
-        if probes.snapshot_every and probe_index % probes.snapshot_every == 0:
-            rec.snapshots.append(u.copy())
+        if not i:
+            continue  # the stopping rules compare against the t = f.t sample
         t_star = detect_blowup(rec, controls)
         if t_star is not None:
             rec.set_outcome(BLOWUP_DETECTED, t_star)
@@ -302,11 +299,11 @@ def evolve(
         ):
             stalled_tail_streak += 1
             if stalled_tail_streak >= 6:
-                rec.set_outcome(UNDERRESOLVED, u.t)
+                rec.set_outcome(UNDERRESOLVED, t)
                 return rec
         else:
             stalled_tail_streak = 0
-    rec.set_outcome(RAN_TO_T_END, u.t)
+    rec.set_outcome(RAN_TO_T_END, t)
     return rec
 
 

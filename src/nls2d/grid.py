@@ -69,7 +69,7 @@ class Field:
     """Complex samples of u(., t) on a grid, with a time stamp."""
 
     def __init__(self, grid: SpectralGrid, values: np.ndarray, t: float = 0.0):
-        values = np.asarray(values, dtype=np.complex128)
+        values = np.ascontiguousarray(values, dtype=np.complex128)
         if values.shape != (grid.n, grid.n):
             raise ValueError(
                 f"values shape {values.shape} does not match grid n={grid.n}"

@@ -96,13 +96,6 @@ def cmd_ground(cfg: dict, out_dir: str) -> str:
     return path
 
 
-def _detector_window(cfg: dict) -> tuple[float, float]:
-    win = cfg["diagnostics"]["window"]
-    if win is None:
-        return (0.0, cfg["t_end"])
-    return (float(win[0]), float(win[1]))
-
-
 def _aligned_snapshot_times(t0: float, window, cadence: float, count: int = 9):
     """Snapshot times inside the window, aligned to the probe cadence."""
     k1 = int(np.ceil((window[0] - t0) / cadence - 1e-9))
@@ -139,17 +132,20 @@ def run_single(cfg: dict, gs, out_dir: str, seed: int) -> dict:
             bound_info = {"t_b": None, "reason": str(exc)}
 
     controls = StepControls(**cfg["controls"])
-    snapshot_times: tuple = ()
+    cadence = cfg["probes"]["cadence"]
+    scatter_times: tuple = ()
     if diag["scattering"]:
-        window = _detector_window(cfg)
-        snapshot_times = _aligned_snapshot_times(
-            f.t, window, cfg["probes"]["cadence"])
+        window = tuple(map(float, diag["window"] or (0.0, cfg["t_end"])))
+        scatter_times = _aligned_snapshot_times(f.t, window, cadence)
+    virial_times: tuple = ()
+    if diag["virial"]:
+        every = cfg["probes"]["snapshot_every"] or 4
+        k_end = int(np.floor((cfg["t_end"] - f.t) / cadence + 1e-9))
+        virial_times = tuple(f.t + k * cadence for k in range(0, k_end + 1, every))
     probes = ProbeSpec(
-        cadence=cfg["probes"]["cadence"],
+        cadence=cadence,
         variance=cfg["probes"]["variance"],
-        snapshot_times=snapshot_times,
-        snapshot_every=cfg["probes"]["snapshot_every"]
-        if not diag["virial"] else (cfg["probes"]["snapshot_every"] or 4),
+        snapshot_times=tuple(sorted(set(scatter_times + virial_times))),
     )
     rec = evolve(f, cfg["t_end"], controls, gs, probes)
     write_trajectory_csv(rec, os.path.join(out_dir, "trajectory.csv"))
@@ -159,7 +155,8 @@ def run_single(cfg: dict, gs, out_dir: str, seed: int) -> dict:
     if diag["scattering"]:
         if rec.outcome == RAN_TO_T_END:
             try:
-                scatter_report = scattering_detect(rec, window)
+                scatter_report = scattering_detect(
+                    rec, window, rec.snapshots_at(scatter_times))
                 write_scattering_json(
                     scatter_report, os.path.join(out_dir, "scattering.json"))
             except ValueError as exc:
@@ -169,25 +166,12 @@ def run_single(cfg: dict, gs, out_dir: str, seed: int) -> dict:
 
     virial_note = None
     if diag["virial"]:
-        every = probes.snapshot_every
-        step = every * probes.cadence
-        # snapshots can arrive from two streams (stride and detector window);
-        # keep one per stride index so the trace is uniform and duplicate-free
-        by_index: dict[int, object] = {}
-        for s in rec.snapshots:
-            k = (s.t - rec.times[0]) / step
-            if abs(k - round(k)) < 1e-9:
-                by_index.setdefault(int(round(k)), s)
-        uniform = [by_index[k] for k in sorted(by_index)]
-        if len(uniform) >= 5:
-            R = diag["virial_R"] if diag["virial_R"] is not None else grid.L / 4.0
-            try:
-                trace = virial_check_full(uniform, R=R)
-                write_virial_csv(trace, os.path.join(out_dir, "virial.csv"))
-            except ValueError as exc:
-                virial_note = str(exc)
-        else:
-            virial_note = "fewer than 5 uniform snapshots; virial trace skipped"
+        R = diag["virial_R"] if diag["virial_R"] is not None else grid.L / 4.0
+        try:
+            trace = virial_check_full(rec.snapshots_at(virial_times), R=R)
+            write_virial_csv(trace, os.path.join(out_dir, "virial.csv"))
+        except ValueError as exc:
+            virial_note = str(exc)
 
     agreement = reconcile(verdict, rec, scatter_report,
                           grad_factor=controls.grad_blowup_factor)
@@ -227,6 +211,7 @@ def cmd_run(cfg: dict, out_dir: str) -> dict:
 
 def _row_config(cfg: dict, lam: float) -> dict:
     row = json.loads(json.dumps(cfg))  # deep copy via JSON round-trip
+    del row["sweep"]  # a row's config names its own lambda, not the others
     fam = cfg["sweep"]["family"]
     params = {"lam": float(lam)}
     if fam == "perturbed_q":
@@ -235,13 +220,32 @@ def _row_config(cfg: dict, lam: float) -> dict:
     return row
 
 
+def _finished_report(row_dir: str, key: str) -> dict | None:
+    """The row's report if a finished run recorded `key` (its row config
+    and seed) in row.json; None when the row must run."""
+    try:
+        with open(os.path.join(row_dir, "row.json")) as fh:
+            if fh.read() != key:
+                return None
+        with open(os.path.join(row_dir, "report.json")) as fh:
+            return json.load(fh)
+    except (OSError, ValueError):
+        return None
+
+
 def _sweep_worker(payload: dict) -> tuple[int, dict]:
     """One sweep row in a worker process; never raises."""
     i = payload["index"]
+    key_path = os.path.join(payload["out_dir"], "row.json")
     try:
+        # row.json follows the report, so a half-replaced row never resumes
+        if os.path.exists(key_path):
+            os.remove(key_path)
         gs = load_ground_state(payload["cache"])
         report = run_single(payload["cfg"], gs, payload["out_dir"],
                             payload["seed"])
+        with open(key_path, "w") as fh:
+            fh.write(payload["key"])
         return i, _row_from_report(payload["lam"], report)
     except Exception as exc:  # recorded per-row, sweep continues
         return i, {
@@ -280,9 +284,10 @@ def _csv_cell(value) -> str:
 def cmd_sweep(cfg: dict, out_dir: str, workers: int | None = None) -> str:
     """Run one trajectory per sweep lambda; emit region_map.csv.
 
-    Rows land in input order regardless of scheduling.  Finished rows
-    (an existing report.json in the row directory) are loaded, not rerun,
-    so an interrupted sweep resumes where it stopped.
+    Rows land in input order regardless of scheduling.  A row directory
+    whose report.json parses and whose row.json records the same row config
+    and seed is loaded, not rerun, so an interrupted sweep resumes where it
+    stopped; any other row runs afresh.
     """
     lambdas = cfg["sweep"]["lambdas"]
     if not lambdas:
@@ -297,20 +302,22 @@ def cmd_sweep(cfg: dict, out_dir: str, workers: int | None = None) -> str:
     rows: dict[int, dict] = {}
     pending = []
     for i, lam in enumerate(lambdas):
-        row_dir = os.path.join(out_dir, f"row_{i:03d}")
-        report_path = os.path.join(row_dir, "report.json")
-        if os.path.exists(report_path):
-            with open(report_path) as fh:
-                rows[i] = _row_from_report(lam, json.load(fh))
-            continue
-        pending.append({
+        row_cfg = _row_config(cfg, lam)
+        seed = int(children[i].generate_state(1, dtype=np.uint64)[0])
+        payload = {
             "index": i,
             "lam": float(lam),
-            "cfg": _row_config(cfg, lam),
+            "cfg": row_cfg,
             "cache": cache,
-            "out_dir": row_dir,
-            "seed": int(children[i].generate_state(1, dtype=np.uint64)[0]),
-        })
+            "out_dir": os.path.join(out_dir, f"row_{i:03d}"),
+            "seed": seed,
+            "key": json.dumps({"config": row_cfg, "seed": seed}, indent=2),
+        }
+        report = _finished_report(payload["out_dir"], payload["key"])
+        if report is None:
+            pending.append(payload)
+        else:
+            rows[i] = _row_from_report(lam, report)
 
     if pending:
         n_workers = workers or cfg["workers"] or os.cpu_count() or 1

@@ -321,7 +321,8 @@ def test_criterion_10_virial_identity(gs_cert):
     grid = SpectralGrid(128, 32.0)
     f = make_initial_data("gaussian", {"amplitude": 0.8, "width": 1.5}, grid)
     rec = evolve(f, 0.3, fixed_dt(1e-3), gs_cert,
-                 ProbeSpec(cadence=0.01, snapshot_every=1))
+                 ProbeSpec(cadence=0.01,
+                           snapshot_times=tuple(0.01 * k for k in range(31))))
     assert rec.outcome == RAN_TO_T_END
 
     trace = virial_check_full(rec.snapshots, R=8.0)

@@ -1,7 +1,8 @@
 """The benchmark's hold on the package API.
 
 `benchmark/` is collected on its own, so a refactor that deletes a name the
-benchmark's tracer wraps would otherwise break only traced benchmark runs.
+benchmark's tracer wraps, or changes a constructor call its workloads make,
+would otherwise break only benchmark runs.
 """
 
 import os
@@ -16,9 +17,10 @@ SCRIPT = """
 import sys
 sys.path[:0] = [{src!r}, {bench!r}]
 import tracing
-from nls2d.evolution import StepControls
+from nls2d.evolution import ProbeSpec, StepControls
 tracing.install(tracing.Tracer({spool!r}))
 StepControls(dt0=1e-3, dt_min=1e-3, dt_max=1e-3, scheme="kahan_li6")
+ProbeSpec(cadence=0.03, snapshot_times=(0.03,))
 """
 
 

@@ -49,6 +49,9 @@ def test_unknown_nested_key():
 def test_cross_field_checks():
     with pytest.raises(ConfigError, match="dt_min <= dt0 <= dt_max"):
         validate_config({"controls": {"dt_min": 1e-2, "dt0": 1e-3}})
+    # a value the key's own check takes but the step controls reject
+    with pytest.raises(ConfigError, match=r"controls: tail_max must lie in \(0, 0\.1\]"):
+        validate_config({"controls": {"tail_max": 0.5}})
     with pytest.raises(ConfigError, match="kappa < kappa0"):
         validate_config({"diagnostics": {"kappa": 0.2, "kappa0": 0.1}})
     with pytest.raises(ConfigError, match="exceeds t_end"):

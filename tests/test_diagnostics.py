@@ -162,7 +162,8 @@ def test_virial_check_full_fd_agreement(gs_cert, grid_128):
     # weak dispersing hump: formula V'' against centered differences of V
     f = make_initial_data("gaussian", {"amplitude": 0.3, "width": 2.0}, grid_128)
     rec = evolve(f, 0.06, StepControls(), gs_cert,
-                 ProbeSpec(cadence=0.01, snapshot_every=1))
+                 ProbeSpec(cadence=0.01,
+                           snapshot_times=tuple(0.01 * k for k in range(7))))
     trace = virial_check_full(rec.snapshots, R=8.0)
     mid = slice(1, -1)
     rel = np.abs(trace.Vpp_fd[mid] - trace.Vpp_formula[mid]) / np.abs(
@@ -307,7 +308,7 @@ def _free_flow_record(grid, t2, k_snaps):
 
 def test_scattering_detect_on_free_flow(grid_128):
     rec = _free_flow_record(grid_128, t2=2.0, k_snaps=9)
-    report = scattering_detect(rec, (0.0, 2.0))
+    report = scattering_detect(rec, (0.0, 2.0), rec.snapshots)
     # free quintic decay of the width-1 hump: (1 + 4 t^2)^2 = 289 at t = 2
     assert report.l6_decay_factor == pytest.approx(289.0, rel=0.05)
     assert report.verdict == "scatter_like"
@@ -324,13 +325,13 @@ def test_scattering_detect_on_free_flow(grid_128):
 def test_scattering_detect_guards(grid_128):
     rec = _free_flow_record(grid_128, t2=2.0, k_snaps=9)
     with pytest.raises(ValueError, match="window exceeds"):
-        scattering_detect(rec, (0.0, 3.0))
+        scattering_detect(rec, (0.0, 3.0), rec.snapshots)
     sparse = _free_flow_record(grid_128, t2=2.0, k_snaps=2)
     with pytest.raises(ValueError, match="at least 3"):
-        scattering_detect(sparse, (0.0, 2.0))
+        scattering_detect(sparse, (0.0, 2.0), sparse.snapshots)
     unfinished = TrajectoryRecord(grid_128, variance_enabled=False)
     unfinished.add_sample(t=0.0, grad_sq=1.0, l6_6=1.0, mass_drift=0.0,
                           energy_drift=0.0, momx=0.0, momy=0.0, G=0.1, tail=0.0)
     unfinished.set_outcome("blowup_detected", 0.5)
     with pytest.raises(ValueError, match="completed"):
-        scattering_detect(unfinished, (0.0, 0.0))
+        scattering_detect(unfinished, (0.0, 0.0), [])

@@ -59,6 +59,14 @@ def test_field_validation():
         Field(g, bad)
 
 
+def test_field_takes_any_memory_layout(rng):
+    g = SpectralGrid(64, 16.0)
+    v = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    for view in (v.T, v[:, ::-1], np.asfortranarray(v)):
+        assert np.array_equal(Field(g, view).values,
+                              Field(g, np.ascontiguousarray(view)).values)
+
+
 def test_constant_field_norms():
     g = SpectralGrid(64, 16.0)
     m = moments(Field(g, np.full((64, 64), 0.5 + 0.0j)))

@@ -115,6 +115,63 @@ def test_run_single_with_virial(gs_cache, gs_cert, tmp_path):
     assert rows[0] == ["t", "V", "Vp_formula", "Vpp_formula", "Vpp_fd",
                        "z_R", "A_R"]
     assert len(rows) == 8  # header + 7 snapshots
+    # the detector's snapshot times do not enter the virial trace
+    cfg["diagnostics"]["scattering"] = True
+    run_single(cfg, gs_cert, str(tmp_path / "both"), seed=0)
+    assert (tmp_path / "both" / "virial.csv").read_bytes() == \
+        (tmp_path / "virial.csv").read_bytes()
+
+
+def test_scattering_verdict_ignores_the_virial_stride(gs_cache, gs_cert, tmp_path):
+    # the stride lands on T2, so a stored copy of the final field used to
+    # make the detector read d(T2) = 0 in place of the d just before T2
+    def run(name, every, virial):
+        cfg = base_cfg(
+            gs_cache,
+            grid={"n": 256, "L": 64.0},
+            initial_data={"family": "scaled_q", "params": {"lam": 0.8}},
+            t_end=1.0,
+            probes={"cadence": 0.05, "snapshot_every": every},
+            diagnostics={"scattering": True, "virial": virial,
+                         "blowup_bound": False},
+        )
+        report = run_single(cfg, gs_cert, str(tmp_path / name), seed=0)
+        return report, tmp_path / name
+
+    report, plain = run("plain", None, False)
+    assert report["scattering"]["d_mid_over_H1"] == pytest.approx(4.67e-3, rel=0.02)
+    expected = (plain / "scattering.json").read_bytes()
+    for name, every in (("every_1", 1), ("virial", None)):
+        _, out = run(name, every, name == "virial")
+        assert (out / "scattering.json").read_bytes() == expected
+
+
+def test_sweep_reruns_rows_of_another_config(gs_cache, tmp_path):
+    def cfg(*lambdas):
+        return base_cfg(
+            gs_cache,
+            t_end=0.05,
+            probes={"cadence": 0.01},
+            sweep={"lambdas": list(lambdas), "family": "perturbed_q", "eps": 1e-3},
+            seed=11,
+        )
+
+    def region_map(lam, out):
+        with open(cmd_sweep(cfg(lam), str(out)), "rb") as fh:
+            return fh.read()
+
+    expected = region_map(1.3, tmp_path / "fresh")
+    out = tmp_path / "reused"
+    region_map(1.2, out)
+    assert region_map(1.3, out) == expected
+    # a truncated report is rerun as well
+    report = out / "row_000" / "report.json"
+    report.write_text(report.read_text()[:40])
+    assert region_map(1.3, out) == expected
+    # the same row in a longer sweep resumes
+    stamp = os.path.getmtime(out / "row_000" / "trajectory.csv")
+    cmd_sweep(cfg(1.3, 1.2), str(out))
+    assert os.path.getmtime(out / "row_000" / "trajectory.csv") == stamp
 
 
 def test_sweep_resume_and_determinism(gs_cache, tmp_path):
@@ -157,6 +214,12 @@ def test_cli_config_errors(tmp_path, capsys):
 
     missing = tmp_path / "missing.json"
     assert main(["run", "--config", str(missing), "--out", str(tmp_path)]) == 2
+
+    capsys.readouterr()
+    tail = tmp_path / "tail.json"
+    tail.write_text(json.dumps({"controls": {"tail_max": 0.5}}))
+    assert main(["run", "--config", str(tail), "--out", str(tmp_path)]) == 2
+    assert "controls: tail_max" in capsys.readouterr().err
 
 
 def test_cli_requires_out_dir(gs_cache, tmp_path, capsys):
