@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import Field, boundary_mass_fraction, moments
+from .grid import Field, atomic_open, boundary_mass_fraction, moments
 from .functionals import RenormalizedSet, renormalized, window_check
 from .diagnostics import radial_asymmetry
 from .evolution import BLOWUP_DETECTED, RAN_TO_T_END, UNDERRESOLVED
@@ -53,7 +53,7 @@ class Verdict:
 
 
 def write_verdict_json(verdict: Verdict, path: str) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(verdict.to_json(), fh, indent=2)
 
 

@@ -15,8 +15,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import Field, boundary_mass_fraction, moments, spectral_gradient
+from .grid import Field, atomic_open, boundary_mass_fraction, moments, spectral_gradient
 from .functionals import renormalized
+from .evolution import RAN_TO_T_END, free_flow
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +224,7 @@ def virial_check_full(snapshots: list[Field], R: float | None = None) -> VirialT
 
 
 def write_virial_csv(trace: VirialTrace, path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "V", "Vp_formula", "Vpp_formula", "Vpp_fd", "z_R", "A_R"])
         for i in range(len(trace.times)):
@@ -378,29 +379,26 @@ class ScatteringReport:
         return {**asdict(self), "window": list(self.window)}
 
 
-def _h1_norm(f: Field) -> float:
-    m = moments(f)
-    return float(np.sqrt(m.mass + m.grad_sq))
-
-
 def asymptotic_state_residuals(snapshots: list[Field]) -> np.ndarray:
     """H1 distances d(t) = ||u(t) - e^{i t lap} phi_plus|| over the snapshots.
 
     phi_plus is the last snapshot pulled back by the free flow, so d at the
     final time is zero by construction; the content is how d behaves before
-    that. Purely linear trajectories give d identically zero.
+    that. Purely linear trajectories give d identically zero.  Each d is a
+    Parseval sum over the spectrum, one FFT per earlier snapshot.
     """
     if len(snapshots) < 2:
         raise ValueError("need at least two snapshots")
     g = snapshots[-1].grid
     T2 = snapshots[-1].t
-    phi_plus_h = np.fft.fft2(snapshots[-1].values) * np.exp(1j * g.K2 * T2)
-    out = []
-    for s in snapshots:
-        lin = np.fft.ifft2(phi_plus_h * np.exp(-1j * g.K2 * s.t))
-        diff = Field(g, s.values - lin, s.t)
-        out.append(_h1_norm(diff))
-    return np.array(out)
+    last = np.fft.fft2(snapshots[-1].values)
+    weight = (g.dx / g.n) ** 2 * (1.0 + g.K2)
+    d = [
+        np.sqrt(np.sum(weight * np.abs(
+            np.fft.fft2(s.values) - free_flow(last.copy(), s.t - T2, g.k1d)) ** 2))
+        for s in snapshots[:-1]
+    ]
+    return np.array(d + [0.0])
 
 
 def scattering_detect(rec, window: tuple[float, float],
@@ -414,8 +412,6 @@ def scattering_detect(rec, window: tuple[float, float],
     just before T2 is at most 5% of the initial H1 norm.
     """
     T1, T2 = window
-    from .evolution import RAN_TO_T_END  # local import to avoid a cycle
-
     if rec.outcome != RAN_TO_T_END:
         raise ValueError(f"detector needs a completed trajectory, got {rec.outcome}")
     times = np.asarray(rec.times)
@@ -451,5 +447,5 @@ def scattering_detect(rec, window: tuple[float, float],
 
 
 def write_scattering_json(report: ScatteringReport, path: str) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(report.to_json(), fh, indent=2)

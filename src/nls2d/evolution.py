@@ -9,12 +9,19 @@ so mass is conserved to roundoff; energy drifts at O(dt^2).
 `StepControls.scheme` selects the step `evolve` takes.  "strang" (the
 default) is the step above.  "kahan_li6" is the sixth-order symmetric
 composition of nine Strang steps of sizes gamma_j dt, with the s9odr6a
-coefficients of Kahan & Li 1997 (Math. Comp. 66, 1089).  The free-flow
-halves of consecutive stages commute and are merged into one multiplier, so
-a nine-stage step costs 20 FFTs rather than 36.  The sixth-order scheme is
-what holds the ground state Q to its standing-wave orbit over unit times:
-Q is linearly unstable, and a second-order splitting error of O(dt^2) puts
-a seed into the growing mode that is amplified about 5e4-fold by t = 1.
+coefficients of Kahan & Li 1997 (Math. Comp. 66, 1089).  The sixth-order
+scheme is what holds the ground state Q to its standing-wave orbit over unit
+times: Q is linearly unstable, and a second-order splitting error of
+O(dt^2) puts a seed into the growing mode that is amplified about 5e4-fold
+by t = 1.
+
+Between probes the stepper holds the spectrum uh and merges the free flows
+that meet between stages and steps (first same as last): a Strang step
+costs 2 FFTs, a nine-stage one 18, plus one each way per probe interval.
+The boundary field the dt rule reads costs a third FFT, and is formed only
+when it could move dt: never at fixed dt, nor at dt_max while (sum |uh| /
+n^2)^4 <= (cfl_c / dt_max)(1 - 1e-12), a bound on sup|u|^4 that the free
+flow leaves unchanged.
 
 The driver integrates between probe times, records norms and conserved
 drift, monitors the spectral tail as a resolution certificate, and converts
@@ -30,8 +37,9 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 
-from .grid import Field, Moments, boundary_mass_fraction, moments
+from .grid import Field, Moments, atomic_open, boundary_mass_fraction, moments
 
 
 # stage sizes gamma_j (fractions of dt) of symmetric compositions of the
@@ -52,29 +60,12 @@ SCHEMES = {
 }
 
 
-def _free_flows(gammas: tuple, dt: float, K2: np.ndarray) -> list:
-    """Free-flow multipliers before, between and after the phase stages.
-
-    Stage j contributes half of gamma_j dt on either side of its phase; the
-    two halves that meet between stages commute and merge exactly.  Equal
-    fractions share one array.
-    """
-    g = (0.0,) + gammas + (0.0,)
-    fractions = [0.5 * (g[j] + g[j + 1]) for j in range(len(g) - 1)]
-    cache = {a: np.exp(-1j * a * dt * K2) for a in dict.fromkeys(fractions)}
-    return [cache[a] for a in fractions]
-
-
-def _step(v: np.ndarray, dt: float, gammas: tuple, free: list) -> np.ndarray:
-    """One composition step of size dt on the samples v.
-
-    free[j] is the free flow before phase stage j and free[-1] the one after
-    the last stage, as `_free_flows` builds them for the same gammas and dt.
-    """
-    for mult, gamma in zip(free, gammas):
-        v = np.fft.ifft2(np.fft.fft2(v) * mult)
-        v = v * np.exp(1j * gamma * dt * np.abs(v) ** 4)
-    return np.fft.ifft2(np.fft.fft2(v) * free[-1])
+def free_flow(w: np.ndarray, h: float, k1d: np.ndarray) -> np.ndarray:
+    """Apply exp(-i h |k|^2) = exp(-i h kx^2) exp(-i h ky^2) in place to w."""
+    e = np.exp(-1j * h * k1d**2)
+    w *= e[:, None]
+    w *= e[None, :]
+    return w
 
 
 @dataclass(frozen=True)
@@ -175,12 +166,61 @@ def _named(times, t: float) -> bool:
     return any(abs(s - t) < 1e-9 for s in times)
 
 
+def _advance(v: np.ndarray, t: float, target: float, controls: StepControls,
+             k1d: np.ndarray):
+    """Step the samples v from time t to target; returns (v, t, steps).
+
+    On a non-finite spectrum after a step, returns (None, t, steps) with t
+    the time that step began.
+    """
+    if t >= target - 1e-12:
+        return v, t, 0
+    gammas = SCHEMES[controls.scheme]
+    # free-flow fraction of dt before each phase stage; gammas[-1] / 2 ends it
+    lead = [0.5 * (a + b) for a, b in zip((0.0,) + gammas, gammas)]
+    fixed = controls.dt_min == controls.dt_max
+    # (sum |w| / n^2)^4 up to this certifies dt_max (see the module docstring)
+    sup4_bound = controls.cfl_c / controls.dt_max * (1.0 - 1e-12)
+    w = fft.fft2(v)
+    buf = np.empty_like(w)
+    boundary = v  # the field at t, while it is formed
+    h, steps = 0.0, 0  # h is the free flow still owed to w
+    while t < target - 1e-12:
+        if fixed or (boundary is None
+                     and (np.sum(np.abs(w)) / w.size) ** 4 <= sup4_bound):
+            dt = controls.dt_max
+        else:
+            if boundary is None:
+                boundary, h = fft.ifft2(free_flow(w, h, k1d)), 0.0
+            sup4 = float(np.max(np.abs(boundary)) ** 4)
+            dt = max(min(controls.dt_max, controls.cfl_c / sup4 if sup4 else np.inf),
+                     controls.dt_min)
+        dt = min(dt, target - t)
+        for a, gamma in zip(lead, gammas):
+            u = fft.ifft2(free_flow(w, h + a * dt, k1d), overwrite_x=True)
+            sq = np.square(u.view(np.float64))
+            theta = sq[:, 0::2] + sq[:, 1::2]  # |u|^2 with no sqrt
+            theta *= theta * (gamma * dt)
+            np.cos(theta, out=buf.real)
+            np.sin(theta, out=buf.imag)
+            u *= buf
+            w = fft.fft2(u, overwrite_x=True)
+            h = 0.0
+        boundary, h, steps = None, 0.5 * gammas[-1] * dt, steps + 1
+        if not np.all(np.isfinite(w.view(np.float64))):
+            return None, t, steps
+        t += dt
+    return fft.ifft2(free_flow(w, h, k1d), overwrite_x=True), t, steps
+
+
 def step_strang(f: Field, dt: float) -> Field:
     """One symmetric split step; advances the time stamp by dt."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt:g}")
-    gammas = SCHEMES["strang"]
-    v = _step(f.values, dt, gammas, _free_flows(gammas, dt, f.grid.K2))
+    if dt <= 1e-12:
+        raise ValueError(f"dt must exceed 1e-12, got {dt:g}")
+    v, _, _ = _advance(f.values, 0.0, dt,
+                       StepControls(dt0=dt, dt_min=dt, dt_max=dt), f.grid.k1d)
+    if v is None:
+        raise ValueError("the step overflowed to non-finite samples")
     return Field(f.grid, v, f.t + dt)
 
 
@@ -251,30 +291,16 @@ def evolve(
         raise ValueError("t_end must exceed the field's current time")
     rec = TrajectoryRecord(f.grid, probes.variance)
     n_probes = max(int(round((t_end - f.t) / probes.cadence)), 1)
-    gammas = SCHEMES[controls.scheme]
-    last_dt = None
-    free = None
     stalled_tail_streak = 0
     v, t = f.values, f.t
     for i in range(n_probes + 1):
         target = f.t + i * probes.cadence if i < n_probes else t_end
-        while t < target - 1e-12:
-            sup4 = float(np.max(np.abs(v))) ** 4
-            dt = controls.dt_max if sup4 == 0.0 else min(
-                controls.dt_max, controls.cfl_c / sup4
-            )
-            dt = max(dt, controls.dt_min)
-            dt = min(dt, target - t)
-            if dt != last_dt:
-                free = _free_flows(gammas, dt, f.grid.K2)
-                last_dt = dt
-            v = _step(v, dt, gammas, free)
-            rec.steps_taken += 1
-            if not np.all(np.isfinite(v.view(np.float64))):
-                # overflow near collapse counts as a blow-up signal
-                rec.set_outcome(BLOWUP_DETECTED, t)
-                return rec
-            t += dt
+        v, t, steps = _advance(v, t, target, controls, f.grid.k1d)
+        rec.steps_taken += steps
+        if v is None:
+            # overflow near collapse counts as a blow-up signal
+            rec.set_outcome(BLOWUP_DETECTED, t)
+            return rec
         t = target  # resync against accumulated roundoff
         u = Field(f.grid, v, t)
         m = moments(u)
@@ -313,7 +339,7 @@ def write_trajectory_csv(rec: TrajectoryRecord, path: str) -> None:
             "momx", "momy", "G", "tail_fraction"]
     if rec.variance_enabled:
         cols.append("variance")
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
         for i in range(len(rec.times)):
@@ -324,7 +350,7 @@ def write_trajectory_csv(rec: TrajectoryRecord, path: str) -> None:
                 row.append(rec.variance[i])
             writer.writerow([repr(float(v)) for v in row])
     sidecar = os.path.splitext(path)[0] + ".outcome.json"
-    with open(sidecar, "w") as fh:
+    with atomic_open(sidecar) as fh:
         json.dump({"outcome": rec.outcome, "t": rec.outcome_t,
                    "steps": rec.steps_taken,
                    "mass0": rec.mass0, "energy0": rec.energy0}, fh, indent=2)

@@ -9,7 +9,9 @@ dx^2 * sum, which is spectrally accurate for smooth periodic integrands.
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +151,20 @@ def boundary_mass_fraction(f: Field) -> float:
     return float((total - inner) / total)
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """A temp file beside path that replaces it once written; a writer that
+    raises leaves the old file at path, if any, and no temp file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_checkpoint(f: Field, path) -> None:
     """Write the binary field checkpoint.
 
@@ -161,7 +177,7 @@ def write_checkpoint(f: Field, path) -> None:
     interleaved = np.empty((f.grid.n, f.grid.n, 2), dtype="<f8")
     interleaved[..., 0] = f.values.real
     interleaved[..., 1] = f.values.imag
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(header)
         fh.write(interleaved.tobytes())
 

@@ -28,6 +28,7 @@ from scipy.special import k0, k1
 from .grid import (
     Field,
     SpectralGrid,
+    atomic_open,
     boundary_sup,
     moments,
     read_checkpoint,
@@ -394,7 +395,7 @@ def save_ground_state(gs: GroundState, path: str) -> None:
             "tol": gs.radial_profile.tol,
         },
     }
-    with open(path + ".json", "w") as fh:
+    with atomic_open(path + ".json") as fh:
         json.dump(sidecar, fh, indent=2)
 
 

@@ -15,7 +15,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .grid import SpectralGrid, write_checkpoint, read_checkpoint, Field, moments
+from .grid import (SpectralGrid, atomic_open, write_checkpoint, read_checkpoint,
+                   Field, moments)
 from .functionals import renormalized, window_check
 from .ground_state import (
     CertificationError,
@@ -190,7 +191,7 @@ def run_single(cfg: dict, gs, out_dir: str, seed: int) -> dict:
         "scattering_note": scatter_note,
         "virial_note": virial_note,
     }
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
+    with atomic_open(os.path.join(out_dir, "report.json")) as fh:
         json.dump(report, fh, indent=2)
     return report
 
@@ -244,7 +245,7 @@ def _sweep_worker(payload: dict) -> tuple[int, dict]:
         gs = load_ground_state(payload["cache"])
         report = run_single(payload["cfg"], gs, payload["out_dir"],
                             payload["seed"])
-        with open(key_path, "w") as fh:
+        with atomic_open(key_path) as fh:
             fh.write(payload["key"])
         return i, _row_from_report(payload["lam"], report)
     except Exception as exc:  # recorded per-row, sweep continues
@@ -332,7 +333,7 @@ def cmd_sweep(cfg: dict, out_dir: str, workers: int | None = None) -> str:
                 rows[i] = row
 
     path = os.path.join(out_dir, "region_map.csv")
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["lambda", "ME", "G0_sq", "verdict", "outcome", "t_star_or_decay"])

@@ -117,17 +117,83 @@ def test_strang_energy_error_is_second_order(gs_cert, grid_256):
 
 
 def test_evolve_default_scheme_is_step_strang(gs_cert, grid_128):
-    # dyadic dt keeps every step the same size, so the stepper inlined in
-    # evolve must reproduce repeated step_strang bit for bit
+    # dyadic dt keeps every step the same size, and at cadence = dt each
+    # probe interval is one step, so evolve must reproduce repeated
+    # step_strang bit for bit
     f = gaussian(grid_128, 0.8, 1.2)
     dt = 2.0**-10
     rec = evolve(f, 8 * dt, fixed_dt(dt), gs_cert,
-                 ProbeSpec(cadence=8 * dt, snapshot_times=(0.0, 8 * dt)))
+                 ProbeSpec(cadence=dt, snapshot_times=(0.0, 8 * dt)))
     u = f
     for _ in range(8):
         u = step_strang(u, dt)
     assert rec.steps_taken == 8
     assert np.array_equal(rec.snapshots[-1].values, u.values)
+
+
+def test_fused_steps_match_step_strang(gs_cert, grid_128):
+    # within one probe interval the closing half flow of a step and the
+    # opening half flow of the next merge into one multiplier; that changes
+    # only the rounding, so 8 fused steps stay at roundoff from 8 single ones
+    f = gaussian(grid_128, 0.8, 1.2)
+    dt = 2.0**-10
+    rec = evolve(f, 8 * dt, fixed_dt(dt), gs_cert,
+                 ProbeSpec(cadence=8 * dt, snapshot_times=(8 * dt,)))
+    u = f
+    for _ in range(8):
+        u = step_strang(u, dt)
+    assert rec.steps_taken == 8
+    dev = np.max(np.abs(rec.snapshots[-1].values - u.values))
+    assert dev < 1e-13 * np.max(np.abs(u.values))
+
+
+def test_fused_dt_rule_is_the_seeds(gs_cert, grid_128):
+    # an amplitude-2 hump focuses: sup|u|^4 starts below cfl_c / dt_max, so
+    # inside a probe interval the spectral bound certifies dt_max without
+    # forming the field, and crosses it mid-run, so the field is formed and
+    # dt shrinks.  The fused loop must take the steps of a loop that
+    # applies the dt rule to step_strang at every step boundary.
+    f = gaussian(grid_128, 2.0, 1.0)
+    controls = StepControls(dt_max=2e-3)
+    t_end, cadence = 0.1, 0.05
+    rec = evolve(f, t_end, controls, gs_cert,
+                 ProbeSpec(cadence=cadence, snapshot_times=(t_end,)))
+    assert rec.outcome == RAN_TO_T_END
+    limit = controls.cfl_c / controls.dt_max
+    u, t, steps, times, certified, formed = f, 0.0, 0, [0.0], 0, 0
+    for target in (cadence, t_end):
+        start = t
+        while t < target - 1e-12:
+            sup4 = float(np.max(np.abs(u.values))) ** 4
+            bound = np.sum(np.abs(np.fft.fft2(u.values))) / u.values.size
+            certified += t > start and bound**4 <= limit * (1.0 - 1e-12)
+            formed += sup4 > limit
+            dt = max(min(controls.dt_max, controls.cfl_c / sup4), controls.dt_min)
+            dt = min(dt, target - t)
+            u = step_strang(u, dt)
+            t += dt
+            steps += 1
+        t = target
+        times.append(t)
+    assert certified >= 20 and formed >= 20
+    assert rec.steps_taken == steps
+    assert rec.times == times
+    # measured 6.1e-14: the fused and the single steps round differently
+    dev = np.max(np.abs(rec.snapshots[-1].values - u.values))
+    assert dev < 1e-12 * np.max(np.abs(u.values))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("controls", [fixed_dt(1e-3), StepControls()],
+                         ids=["fixed", "adaptive"])
+def test_overflow_is_blowup_after_one_step(gs_cert, grid_128, controls):
+    # |u|^4 = 1e320 overflows, so the first step's phase is not finite; the
+    # per-step scan of the spectrum must stop the run at its start
+    rec = evolve(gaussian(grid_128, 1e80), 0.1, controls, gs_cert)
+    assert rec.outcome == BLOWUP_DETECTED
+    assert rec.outcome_t == 0.0
+    assert rec.steps_taken == 1
 
 
 def test_kahan_li6_is_sixth_order(gs_cert, grid_128):
@@ -312,3 +378,20 @@ def test_trajectory_csv_round_trip(gs_cert, grid_128, tmp_path):
     assert sidecar["outcome"] == RAN_TO_T_END
     assert sidecar["mass0"] == rec.mass0
     assert sidecar["energy0"] == rec.energy0
+
+
+def test_artifact_writer_that_raises_keeps_the_old_file(gs_cert, grid_128,
+                                                        tmp_path):
+    # an artifact is written to a temp file that replaces the old one only
+    # once it is whole
+    f = gaussian(grid_128, 0.4, 1.2)
+    rec = evolve(f, 0.1, StepControls(), gs_cert, ProbeSpec(cadence=0.05))
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(rec, str(path))
+    old = path.read_bytes()
+    rec.grad_sq[1] = None  # float(None) raises after the first row is out
+    with pytest.raises(TypeError):
+        write_trajectory_csv(rec, str(path))
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "trajectory.csv", "trajectory.outcome.json"]
