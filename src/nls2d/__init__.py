@@ -61,7 +61,6 @@ from .diagnostics import (
     energy_gradient_bounds_check,
     localized_variance,
     radial_asymmetry,
-    radial_gn_exterior_check,
     scattering_detect,
     variance,
     variance_derivative,

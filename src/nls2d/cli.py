@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, DEFAULTS, explain_config, load_config, validate_config
+from .config import ConfigError, explain_config, load_config
 from .ground_state import CertificationError
 from . import harness
 
@@ -51,9 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("explain-config", help="print the config schema and defaults")
 
-    p_verify = sub.add_parser("verify", help="identity/inequality self-test battery")
-    p_verify.add_argument("--config", metavar="PATH", default=None,
-                          help="optional config (defaults used otherwise)")
+    sub.add_parser("verify", help="identity/inequality self-test battery")
 
     return parser
 
@@ -75,8 +73,7 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "verify":
-            cfg = load_config(args.config) if args.config else validate_config({})
-            return EXIT_OK if harness.cmd_verify(cfg) else EXIT_CERTIFICATION
+            return EXIT_OK if harness.cmd_verify() else EXIT_CERTIFICATION
 
         cfg = load_config(args.config)
         if args.seed is not None:

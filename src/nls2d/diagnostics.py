@@ -23,27 +23,6 @@ from .evolution import RAN_TO_T_END, free_flow
 # ---------------------------------------------------------------------------
 # cutoffs
 
-def _chi_derivs(r: np.ndarray):
-    """Saturating cutoff: r^2 for r <= 1, constant 11/2 for r >= 4.
-
-    The blend on [1, 4] is the minimal polynomial matched to value, slope,
-    and curvature at r = 1 and to zero slope and curvature at r = 4; its
-    second derivative 2 - 12 t + 10 t^2 (t = (r-1)/3) never exceeds 2.
-    Returns (value, first, second) radial derivatives.
-    """
-    r = np.asarray(r, dtype=float)
-    t = np.clip((r - 1.0) / 3.0, 0.0, 1.0)
-    val_mid = 1.0 + 6.0 * t + 9.0 * t**2 - 18.0 * t**3 + 7.5 * t**4
-    d1_mid = 2.0 + 6.0 * t - 18.0 * t**2 + 10.0 * t**3
-    d2_mid = 2.0 - 12.0 * t + 10.0 * t**2
-    inside = r <= 1.0
-    outside = r >= 4.0
-    val = np.where(inside, r**2, np.where(outside, 5.5, val_mid))
-    d1 = np.where(inside, 2.0 * r, np.where(outside, 0.0, d1_mid))
-    d2 = np.where(inside, 2.0, np.where(outside, 0.0, d2_mid))
-    return val, d1, d2
-
-
 def _phi_derivs(rho: np.ndarray):
     """Compact cutoff: rho^2 for rho <= 1, zero for rho >= 2.
 
@@ -69,29 +48,19 @@ def _phi_derivs(rho: np.ndarray):
 
 
 class Cutoff:
-    """Radial cutoff sampled (with its radial derivatives) on a grid.
+    """Compact radial cutoff sampled (with its radial derivatives) on a grid.
 
-    kind "compact": weight W(x) = R^2 phi(|x|/R) with phi = rho^2 inside
-    rho <= 1 and phi = 0 beyond rho = 2.  kind "saturating": W(x) =
-    R^2 chi(|x|/R) with chi = rho^2 inside and constant beyond rho = 4,
-    curvature capped at 2.
+    Weight W(x) = R^2 phi(|x|/R) with phi = rho^2 inside rho <= 1 and
+    phi = 0 beyond rho = 2.
     """
 
-    def __init__(self, kind: str, R: float, grid):
-        if kind not in ("compact", "saturating"):
-            raise ValueError(f"unknown cutoff kind {kind!r}")
+    def __init__(self, R: float, grid):
         if R < 8.0 * grid.dx:
             raise ValueError(f"R = {R:g} too small for the grid (dx = {grid.dx:g})")
-        self.kind = kind
         self.R = float(R)
         self.grid = grid
         rho = grid.R / self.R
-        if kind == "compact":
-            val, d1, d2, d3, d4 = _phi_derivs(rho)
-        else:
-            val, d1, d2 = _chi_derivs(rho)
-            d3 = np.zeros_like(val)
-            d4 = np.zeros_like(val)
+        val, d1, d2, d3, d4 = _phi_derivs(rho)
         self.w = self.R**2 * val            # W(x)
         self.wp = d1                        # phi'(rho)
         self.wpp = d2                       # phi''(rho)
@@ -204,7 +173,7 @@ def virial_check_full(snapshots: list[Field], R: float | None = None) -> VirialT
     g = snapshots[0].grid
     if R is None:
         R = g.L / 4.0
-    cutoff = Cutoff("compact", R, g)
+    cutoff = Cutoff(R, g)
     V = np.array([variance(s) for s in snapshots])
     Vp = np.array([variance_derivative(s) for s in snapshots])
     Vpp = np.array([virial_rhs(s) for s in snapshots])
@@ -235,7 +204,7 @@ def write_virial_csv(trace: VirialTrace, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# radial symmetry and the exterior estimate
+# radial symmetry
 
 def radial_asymmetry(f: Field) -> float:
     """Sup deviation of the samples from their exact radial orbit average.
@@ -254,35 +223,6 @@ def radial_asymmetry(f: Field) -> float:
     mean_im = np.bincount(inverse, weights=vals.imag) / counts
     avg = (mean_re + 1j * mean_im)[inverse]
     return float(np.max(np.abs(vals - avg)))
-
-
-def radial_gn_exterior_check(f: Field, R: float, rel_tol: float = 1e-6) -> float:
-    """Empirical constant of the exterior estimate for radial fields.
-
-    For radial u, int_{|x|>R} |u|^6 <= (c/R^2) ||u||^4 ||grad u||^2 with the
-    norms restricted to the exterior.  Returns the measured ratio
-    LHS * R^2 / (mass_ext^2 * grad_ext); the constant c is not pinned, only
-    boundedness across families is meaningful.
-
-    rel_tol bounds the accepted radial asymmetry relative to sup |u|.  The
-    default leaves room for spectrally computed radial fields, which carry
-    a few 1e-8 of FFT-roundoff anisotropy.
-    """
-    sup = float(np.max(np.abs(f.values)))
-    if sup == 0.0:
-        raise ValueError("zero field")
-    if radial_asymmetry(f) > rel_tol * sup:
-        raise ValueError(f"field is not radially symmetric to {rel_tol:g}")
-    g = f.grid
-    ext = g.R > R
-    dx2 = g.dx**2
-    mass_ext = float(dx2 * np.sum(np.abs(f.values[ext]) ** 2))
-    if mass_ext <= 1e-28:
-        raise ValueError(f"no mass outside radius {R:g}")
-    ux, uy = spectral_gradient(f)
-    grad_ext = float(dx2 * np.sum(np.abs(ux[ext]) ** 2 + np.abs(uy[ext]) ** 2))
-    l6_ext = float(dx2 * np.sum(np.abs(f.values[ext]) ** 6))
-    return l6_ext * R**2 / (mass_ext**2 * grad_ext)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +292,7 @@ def blowup_time_bound(f: Field, gs, R: float, kappa: float,
     if G_ext > kappa:
         info["reason"] = "exterior gradient exceeds the kappa budget at t = 0"
         return None, info
-    cutoff = Cutoff("compact", R, g)
+    cutoff = Cutoff(R, g)
     z, zp, _, _ = localized_variance(f, cutoff)
     denom = 32.0 * gs.energyQ * lam_sq * (lam_sq - 1.0 - kappa)
     V_R = z / denom

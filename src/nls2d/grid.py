@@ -39,9 +39,11 @@ class SpectralGrid:
         self.n = n
         self.L = L
         self.dx = L / n
-        # signed box coordinate, origin at the center
+        # signed box coordinate, origin at the center, held as (n, 1) and
+        # (1, n) axes that broadcast against a field
         self.x1d = (np.arange(n) - n // 2) * self.dx
-        self.X, self.Y = np.meshgrid(self.x1d, self.x1d, indexing="ij")
+        self.X = self.x1d[:, None]
+        self.Y = self.x1d[None, :]
         self.R = np.hypot(self.X, self.Y)
         # signed wavenumbers, Nyquist negative
         self.k1d = 2.0 * np.pi * np.fft.fftfreq(n, d=self.dx)

@@ -36,8 +36,7 @@ from .evolution import (
     write_trajectory_csv,
 )
 from .diagnostics import (
-    _chi_derivs,
-    _phi_derivs,
+    Cutoff,
     blowup_time_bound,
     scattering_detect,
     virial_check_full,
@@ -349,8 +348,8 @@ def cmd_sweep(cfg: dict, out_dir: str, workers: int | None = None) -> str:
 # ---------------------------------------------------------------------------
 # self-test battery
 
-def cmd_verify(cfg: dict) -> bool:
-    """Identity/inequality battery on a small grid; prints PASS/FAIL lines."""
+def cmd_verify() -> bool:
+    """Identity/inequality battery on the 512/48 grid; prints PASS/FAIL lines."""
     checks: list[tuple[str, bool, str]] = []
 
     def record(name: str, ok: bool, detail: str):
@@ -374,20 +373,19 @@ def cmd_verify(cfg: dict) -> bool:
     min_slack = np.inf
     for _ in range(20):
         env = np.exp(-grid.R**2 / rng.uniform(2.0, 12.0))
-        vals = (rng.normal(size=grid.X.shape) + 1j * rng.normal(size=grid.X.shape)) * env
+        vals = (rng.normal(size=grid.R.shape) + 1j * rng.normal(size=grid.R.shape)) * env
         sm = np.fft.ifft2(np.fft.fft2(vals) * np.exp(-grid.K2 * 0.05))
         h = Field(grid, sm)
         min_slack = min(min_slack, gn_inequality_check(h, gs))
     record("interpolation inequality on random fields", min_slack >= -1e-12,
            f"min slack {min_slack:.2e}")
 
-    r = np.linspace(0.0, 5.0, 2001)
-    _, _, chi2 = _chi_derivs(r)
-    rho = np.linspace(0.0, 2.5, 2001)
-    phi0, _, _, _, _ = _phi_derivs(rho)
-    cut_ok = bool(np.max(chi2) <= 2.0 + 1e-12 and np.all(phi0[rho >= 2.0] == 0.0))
+    cut = Cutoff(8.0, grid)
+    inner = grid.R <= cut.R
+    cut_err = float(np.max(np.abs(cut.w[inner] - grid.R[inner] ** 2))) / cut.R**2
+    cut_ok = cut_err <= 1e-12 and bool(np.all(cut.w[grid.R >= 2.0 * cut.R] == 0.0))
     record("cutoff constraints", cut_ok,
-           f"max curvature {np.max(chi2):.6f}, compact support honored")
+           f"|x|^2 inside R to {cut_err:.1e} relative, zero beyond 2R")
 
     vr = virial_rhs(gs.field)
     record("soliton virial balance", abs(vr) <= 1e-5 * gs.gradQ_sq,

@@ -228,7 +228,7 @@ def test_criterion_05_dichotomy_sweeps(gs_cache, acceptance_dir):
             sc = json.load(fh)
         assert sc["verdict"] == "scatter_like"
         assert sc["l6_decay_factor"] >= 10.0
-        assert sc["d_T2_over_H1"] <= 0.05
+        assert sc["d_mid_over_H1"] <= 0.05
         register_row_dir(f"scatter sweep lam={row['lambda']}", str(row_dir))
 
     blowup_cfg = validate_config({

@@ -19,12 +19,16 @@ import sys
 sys.path[:0] = [{src!r}, {bench!r}]
 import tracing
 from nls2d.evolution import ProbeSpec, StepControls, step_strang
+from nls2d.functionals import conserved
 from nls2d.grid import Field, SpectralGrid
 tracing.install(tracing.Tracer({spool!r}))
 StepControls(dt0=1e-3, dt_min=1e-3, dt_max=1e-3, scheme="kahan_li6")
 ProbeSpec(cadence=0.03, snapshot_times=(0.03,))
-f = Field(SpectralGrid(16, 8.0), [[0.5] * 16] * 16)
+g = SpectralGrid(16, 8.0)
+assert g.K2.shape == (16, 16)
+f = Field(g, [[0.5] * 16] * 16)
 assert abs(step_strang(f, 1e-3).t - 1e-3) < 1e-15
+assert abs(conserved(f).mass - 0.25 * 8.0**2) < 1e-12
 """
 
 

@@ -1,4 +1,4 @@
-"""Cutoffs, variance/virial identities, exterior estimate, detectors."""
+"""Cutoffs, variance/virial identities, detectors."""
 
 import numpy as np
 import pytest
@@ -18,14 +18,13 @@ from nls2d import (
     make_initial_data,
     moments,
     radial_asymmetry,
-    radial_gn_exterior_check,
     scattering_detect,
     variance,
     variance_derivative,
     virial_check_full,
     virial_rhs,
 )
-from nls2d.diagnostics import _chi_derivs, _phi_derivs
+from nls2d.diagnostics import _phi_derivs
 
 
 def gaussian(grid, amp=1.0, width=1.0, center=(0.0, 0.0)):
@@ -37,32 +36,17 @@ def gaussian(grid, amp=1.0, width=1.0, center=(0.0, 0.0)):
 # cutoff shapes
 
 def test_cutoff_validation(grid_128):
-    with pytest.raises(ValueError, match="unknown"):
-        Cutoff("boxcar", 8.0, grid_128)
     with pytest.raises(ValueError, match="too small"):
-        Cutoff("compact", grid_128.dx, grid_128)
+        Cutoff(grid_128.dx, grid_128)
 
 
 def test_cutoff_interior_is_exact_variance_weight(grid_128):
-    for kind in ("compact", "saturating"):
-        c = Cutoff(kind, 8.0, grid_128)
-        inside = grid_128.R <= 0.99 * c.R
-        assert np.max(np.abs(c.w[inside] - grid_128.R[inside] ** 2)) < 1e-12
-        assert np.all(c.wp_over_rho[inside] == 2.0)
-        assert np.all(c.lap[inside] == 4.0)
-        assert np.all(c.bilap[inside] == 0.0)
-
-
-def test_saturating_cutoff_plateau_and_curvature_cap():
-    rho = np.linspace(0.0, 6.0, 4001)
-    val, d1, d2 = _chi_derivs(rho)
-    # curvature stays at or below the interior value 2 everywhere
-    assert np.max(d2) <= 2.0 + 1e-12
-    # non-decreasing, flat plateau beyond rho = 4
-    assert np.min(d1) >= -1e-12
-    far = rho >= 4.0
-    assert np.max(np.abs(val[far] - 5.5)) < 1e-12
-    assert np.max(np.abs(d1[far])) < 1e-12
+    c = Cutoff(8.0, grid_128)
+    inside = grid_128.R <= 0.99 * c.R
+    assert np.max(np.abs(c.w[inside] - grid_128.R[inside] ** 2)) < 1e-12
+    assert np.all(c.wp_over_rho[inside] == 2.0)
+    assert np.all(c.lap[inside] == 4.0)
+    assert np.all(c.bilap[inside] == 0.0)
 
 
 def test_compact_cutoff_support():
@@ -75,9 +59,9 @@ def test_compact_cutoff_support():
     assert np.max(np.abs(val[inside] - rho[inside] ** 2)) < 1e-12
 
 
+# the ids keep the names these cases had beside the deleted saturating cutoff
 @pytest.mark.parametrize("derivs,n_out,joints", [
-    (_chi_derivs, 3, (1.0, 4.0)),
-    (_phi_derivs, 5, (1.0, 2.0)),
+    pytest.param(_phi_derivs, 5, (1.0, 2.0), id="_phi_derivs-5-joints1"),
 ])
 def test_cutoff_derivative_columns_are_consistent(derivs, n_out, joints):
     # each returned column is the derivative of the previous one: check by
@@ -98,8 +82,7 @@ def test_cutoff_derivative_columns_are_consistent(derivs, n_out, joints):
 
 
 @pytest.mark.parametrize("derivs,joints,smooth_cols", [
-    (_chi_derivs, (1.0, 4.0), 3),
-    (_phi_derivs, (1.0, 2.0), 3),
+    pytest.param(_phi_derivs, (1.0, 2.0), 3, id="_phi_derivs-joints1-3"),
 ])
 def test_cutoff_joints_are_c2(derivs, joints, smooth_cols):
     eps = 1e-9
@@ -144,7 +127,7 @@ def test_virial_rhs_on_soliton(gs_cert):
 def test_localized_variance_matches_global_inside(grid_128):
     # datum far inside the cutoff radius: localized and global agree
     f = gaussian(grid_128, 0.7, 1.0)
-    c = Cutoff("compact", 8.0, grid_128)
+    c = Cutoff(8.0, grid_128)
     z, zp, zpp, A_R = localized_variance(f, c)
     assert z == pytest.approx(variance(f), rel=1e-10)
     assert abs(zp - variance_derivative(f)) < 1e-10
@@ -153,7 +136,7 @@ def test_localized_variance_matches_global_inside(grid_128):
 
 
 def test_localized_variance_grid_guard(grid_128, grid_256):
-    c = Cutoff("compact", 8.0, grid_256)
+    c = Cutoff(8.0, grid_256)
     with pytest.raises(ValueError, match="different grid"):
         localized_variance(gaussian(grid_128), c)
 
@@ -192,29 +175,12 @@ def test_virial_check_full_guards(grid_128):
 
 
 # ---------------------------------------------------------------------------
-# radial symmetry and the exterior estimate
+# radial symmetry
 
 def test_radial_asymmetry(grid_128):
     assert radial_asymmetry(gaussian(grid_128)) < 1e-13
     shifted = gaussian(grid_128, 1.0, 1.0, center=(1.5, 0.0))
     assert radial_asymmetry(shifted) > 1e-2
-
-
-def test_exterior_estimate_bounded_across_radii(gs_cert):
-    # ratio of the exterior L6 mass to its radial-estimate majorant: finite,
-    # positive, and far below 1 for the soliton tail
-    for R in (2.0, 4.0, 8.0):
-        ratio = radial_gn_exterior_check(gs_cert.field, R)
-        assert 0.0 < ratio < 0.5
-
-
-def test_exterior_estimate_guards(grid_128):
-    shifted = gaussian(grid_128, 1.0, 1.0, center=(1.5, 0.0))
-    with pytest.raises(ValueError, match="radially symmetric"):
-        radial_gn_exterior_check(shifted, 4.0)
-    capped = np.where(grid_128.R < 2.0, 1.0, 0.0).astype(complex)
-    with pytest.raises(ValueError, match="outside"):
-        radial_gn_exterior_check(Field(grid_128, capped), 8.0)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,11 @@ def test_grid_layout():
     assert g.k1d[0] == 0.0
     assert g.k1d[1] == pytest.approx(2.0 * np.pi / 32.0)
     assert np.max(g.K2) == pytest.approx(2.0 * (np.pi / 0.25) ** 2)
+    # coordinates are broadcast axes; only R, K2 and tail_mask are dense
+    assert g.X.shape == (128, 1) and g.Y.shape == (1, 128)
+    dense = {name for name, v in vars(g).items()
+             if isinstance(v, np.ndarray) and v.shape == (128, 128)}
+    assert dense == {"R", "K2", "tail_mask"}
 
 
 def test_field_validation():
@@ -77,7 +82,7 @@ def test_constant_field_norms():
 def test_single_mode_gradient():
     g = SpectralGrid(64, 16.0)
     k0 = 3 * (2.0 * np.pi / 16.0)
-    m = moments(Field(g, np.exp(1j * k0 * g.X)))
+    m = moments(Field(g, np.exp(1j * k0 * (g.X + 0.0 * g.Y))))
     area = 16.0**2
     assert m.mass == pytest.approx(area, rel=1e-13)
     assert m.grad_sq == pytest.approx(k0**2 * area, rel=1e-13)
@@ -118,7 +123,7 @@ def test_tail_fraction_extremes():
     smooth = gaussian(g)
     assert moments(smooth).tail < 1e-12
     kmax = np.pi / g.dx
-    rough = Field(g, np.exp(1j * 0.9 * kmax * g.X))
+    rough = Field(g, np.exp(1j * 0.9 * kmax * (g.X + 0.0 * g.Y)))
     assert moments(rough).tail > 0.99
 
 

@@ -222,6 +222,14 @@ def test_cli_config_errors(tmp_path, capsys):
     assert "controls: tail_max" in capsys.readouterr().err
 
 
+def test_cli_verify_takes_no_config(tmp_path, capsys):
+    # the battery runs on fixed grids, so a config is an argparse error
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(tmp_path / "cfg.json")])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
 def test_cli_requires_out_dir(gs_cache, tmp_path, capsys):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"ground_state": {"cache": gs_cache}}))
@@ -279,7 +287,7 @@ def test_cli_run_end_to_end(gs_cache, tmp_path, capsys):
 
 
 def test_cmd_verify_battery(capsys):
-    assert cmd_verify(validate_config({}))
+    assert cmd_verify()
     out = capsys.readouterr().out
     assert "[FAIL]" not in out
     assert "9/9" in out
@@ -296,6 +304,6 @@ def test_cmd_verify_detects_a_broken_identity(gs_cache, capsys, monkeypatch):
         return real(f, gs) - 0.5
 
     monkeypatch.setattr(hmod, "gn_inequality_check", skewed)
-    ok = cmd_verify(validate_config({}))
+    ok = cmd_verify()
     assert not ok
     assert "[FAIL]" in capsys.readouterr().out
