@@ -139,7 +139,7 @@ DEFAULTS: dict[str, Any] = {
 }
 
 
-def _walk(schema, defaults, user, path, problems, merged):
+def _walk(schema, user, path, problems, merged):
     for key, value in user.items():
         here = f"{path}.{key}" if path else key
         if key not in schema:
@@ -150,7 +150,7 @@ def _walk(schema, defaults, user, path, problems, merged):
             if not isinstance(value, dict):
                 problems.append(f"{here}: expected an object")
                 continue
-            _walk(node, defaults[key], value, here, problems, merged[key])
+            _walk(node, value, here, problems, merged[key])
             continue
         if isinstance(value, int) and not isinstance(value, bool) \
                 and float in node.types and int not in node.types:
@@ -176,22 +176,14 @@ def _type_names(types) -> str:
     return "/".join("null" if t is type(None) else t.__name__ for t in types)
 
 
-def _deep_copy(tree):
-    if isinstance(tree, dict):
-        return {k: _deep_copy(v) for k, v in tree.items()}
-    if isinstance(tree, list):
-        return [_deep_copy(v) for v in tree]
-    return tree
-
-
 def validate_config(user: dict) -> dict:
     """Merge a user key-tree over the defaults; raise ConfigError listing
     every offending key."""
     if not isinstance(user, dict):
         raise ConfigError(["top level: expected an object"])
     problems: list[str] = []
-    merged = _deep_copy(DEFAULTS)
-    _walk(SCHEMA, DEFAULTS, user, "", problems, merged)
+    merged = json.loads(json.dumps(DEFAULTS))  # deep copy
+    _walk(SCHEMA, user, "", problems, merged)
     try:
         StepControls(**merged["controls"])
     except ValueError as exc:

@@ -14,6 +14,7 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy import fft
 
 from .grid import Field, atomic_open, boundary_mass_fraction, moments, spectral_gradient
 from .functionals import renormalized
@@ -331,11 +332,11 @@ def asymptotic_state_residuals(snapshots: list[Field]) -> np.ndarray:
         raise ValueError("need at least two snapshots")
     g = snapshots[-1].grid
     T2 = snapshots[-1].t
-    last = np.fft.fft2(snapshots[-1].values)
+    last = fft.fft2(snapshots[-1].values)
     weight = (g.dx / g.n) ** 2 * (1.0 + g.K2)
     d = [
         np.sqrt(np.sum(weight * np.abs(
-            np.fft.fft2(s.values) - free_flow(last.copy(), s.t - T2, g.k1d)) ** 2))
+            fft.fft2(s.values) - free_flow(last.copy(), s.t - T2, g.k1d)) ** 2))
         for s in snapshots[:-1]
     ]
     return np.array(d + [0.0])

@@ -15,13 +15,13 @@ times: Q is linearly unstable, and a second-order splitting error of
 O(dt^2) puts a seed into the growing mode that is amplified about 5e4-fold
 by t = 1.
 
-Between probes the stepper holds the spectrum uh and merges the free flows
-that meet between stages and steps (first same as last): a Strang step
-costs 2 FFTs, a nine-stage one 18, plus one each way per probe interval.
-The boundary field the dt rule reads costs a third FFT, and is formed only
-when it could move dt: never at fixed dt, nor at dt_max while (sum |uh| /
-n^2)^4 <= (cfl_c / dt_max)(1 - 1e-12), a bound on sup|u|^4 that the free
-flow leaves unchanged.
+The stepper holds the spectrum uh from one forward FFT of the datum to the
+end of the run and merges the free flows that meet between stages and steps
+(first same as last): a Strang step costs 2 FFTs, a nine-stage one 18, and
+each probe after t = 0 one inverse FFT for its field.  The field the dt rule
+reads inside a probe interval costs a third FFT, and is formed only when it
+could move dt: never at fixed dt, nor at dt_max while (sum |uh| / n^2)^4 <=
+(cfl_c / dt_max)(1 - 1e-12), a bound on sup|u|^4 the free flow keeps.
 
 The driver integrates between probe times, records norms and conserved
 drift, monitors the spectral tail as a resolution certificate, and converts
@@ -166,22 +166,20 @@ def _named(times, t: float) -> bool:
     return any(abs(s - t) < 1e-9 for s in times)
 
 
-def _advance(v: np.ndarray, t: float, target: float, controls: StepControls,
-             k1d: np.ndarray):
-    """Step the samples v from time t to target; returns (v, t, steps).
+def _advance(w: np.ndarray, v: np.ndarray, t: float, target: float,
+             controls: StepControls, k1d: np.ndarray):
+    """Step the spectrum w of the field v from t to target, overwriting w.
 
-    On a non-finite spectrum after a step, returns (None, t, steps) with t
-    the time that step began.
+    Returns (w, t, steps), w at target with the owed free flow applied; the
+    dt rule reads v at t.  On a non-finite spectrum after a step, returns
+    (None, t, steps) with t the time that step began.
     """
-    if t >= target - 1e-12:
-        return v, t, 0
     gammas = SCHEMES[controls.scheme]
     # free-flow fraction of dt before each phase stage; gammas[-1] / 2 ends it
     lead = [0.5 * (a + b) for a, b in zip((0.0,) + gammas, gammas)]
     fixed = controls.dt_min == controls.dt_max
     # (sum |w| / n^2)^4 up to this certifies dt_max (see the module docstring)
     sup4_bound = controls.cfl_c / controls.dt_max * (1.0 - 1e-12)
-    w = fft.fft2(v)
     buf = np.empty_like(w)
     boundary = v  # the field at t, while it is formed
     h, steps = 0.0, 0  # h is the free flow still owed to w
@@ -210,18 +208,18 @@ def _advance(v: np.ndarray, t: float, target: float, controls: StepControls,
         if not np.all(np.isfinite(w.view(np.float64))):
             return None, t, steps
         t += dt
-    return fft.ifft2(free_flow(w, h, k1d), overwrite_x=True), t, steps
+    return free_flow(w, h, k1d), t, steps
 
 
 def step_strang(f: Field, dt: float) -> Field:
     """One symmetric split step; advances the time stamp by dt."""
     if dt <= 1e-12:
         raise ValueError(f"dt must exceed 1e-12, got {dt:g}")
-    v, _, _ = _advance(f.values, 0.0, dt,
+    w, _, _ = _advance(fft.fft2(f.values), f.values, 0.0, dt,
                        StepControls(dt0=dt, dt_min=dt, dt_max=dt), f.grid.k1d)
-    if v is None:
+    if w is None:
         raise ValueError("the step overflowed to non-finite samples")
-    return Field(f.grid, v, f.t + dt)
+    return Field(f.grid, fft.ifft2(w, overwrite_x=True), f.t + dt)
 
 
 def detect_blowup(rec: TrajectoryRecord, controls: StepControls) -> float | None:
@@ -293,17 +291,20 @@ def evolve(
     n_probes = max(int(round((t_end - f.t) / probes.cadence)), 1)
     stalled_tail_streak = 0
     v, t = f.values, f.t
+    w = fft.fft2(v)
     for i in range(n_probes + 1):
         target = f.t + i * probes.cadence if i < n_probes else t_end
-        v, t, steps = _advance(v, t, target, controls, f.grid.k1d)
+        w, t, steps = _advance(w, v, t, target, controls, f.grid.k1d)
         rec.steps_taken += steps
-        if v is None:
+        if w is None:
             # overflow near collapse counts as a blow-up signal
             rec.set_outcome(BLOWUP_DETECTED, t)
             return rec
+        if i:
+            v = fft.ifft2(w)  # the t = f.t probe reads the datum itself
         t = target  # resync against accumulated roundoff
         u = Field(f.grid, v, t)
-        m = moments(u)
+        m = moments(u, w)
         if not i:
             rec.mass0, rec.energy0 = m.mass, m.energy
         _probe(u, m, gs, rec, probes.variance)

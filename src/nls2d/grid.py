@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 
 CHECKPOINT_MAGIC = b"NLS2"
 CHECKPOINT_VERSION = 1
@@ -46,7 +47,7 @@ class SpectralGrid:
         self.Y = self.x1d[None, :]
         self.R = np.hypot(self.X, self.Y)
         # signed wavenumbers, Nyquist negative
-        self.k1d = 2.0 * np.pi * np.fft.fftfreq(n, d=self.dx)
+        self.k1d = 2.0 * np.pi * fft.fftfreq(n, d=self.dx)
         self.K2 = self.k1d[:, None] ** 2 + self.k1d[None, :] ** 2
         self.k_nyquist = np.pi * n / L
         # derivative multipliers with the Nyquist row zeroed, held as (n, 1)
@@ -90,11 +91,11 @@ class Field:
 
 @dataclass(frozen=True)
 class Moments:
-    """The discrete invariants of a field, read off one forward FFT.
+    """The discrete invariants of a field and its spectrum.
 
     Integrals are dx^2 * sum over the samples; the gradient norm and the
-    momentum are Parseval sums over the spectrum, and the tail is the share
-    of sum |uh|^2 carried by the modes past 2/3 Nyquist.
+    momentum are Parseval sums over the spectrum fft2(u), and the tail is
+    the share of sum |uh|^2 carried by the modes past 2/3 Nyquist.
     """
 
     mass: float      # int |u|^2
@@ -109,10 +110,12 @@ class Moments:
         return 0.5 * self.grad_sq - self.l6_6 / 6.0
 
 
-def moments(f: Field) -> Moments:
-    """Mass, gradient norm, L6 integral, momentum and spectral tail of f."""
+def moments(f: Field, fh: np.ndarray | None = None) -> Moments:
+    """Mass, gradient norm, L6 integral, momentum and spectral tail of f;
+    fh is fft2(f.values) if the caller holds it, and is only read."""
     g = f.grid
-    fh = np.fft.fft2(f.values)
+    if fh is None:
+        fh = fft.fft2(f.values)
     fh2 = np.abs(fh) ** 2
     w = g.dx**2 / g.n**2
     a = np.abs(f.values)
@@ -129,9 +132,9 @@ def moments(f: Field) -> Moments:
 
 def spectral_gradient(f: Field) -> tuple[np.ndarray, np.ndarray]:
     """Partial derivatives (du/dx, du/dy) via the i*k multiplier."""
-    fh = np.fft.fft2(f.values)
-    ux = np.fft.ifft2(f.grid.ikx * fh)
-    uy = np.fft.ifft2(f.grid.iky * fh)
+    fh = fft.fft2(f.values)
+    ux = fft.ifft2(f.grid.ikx * fh)
+    uy = fft.ifft2(f.grid.iky * fh)
     return ux, uy
 
 

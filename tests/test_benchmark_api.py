@@ -1,9 +1,9 @@
 """The benchmark's hold on the package API.
 
 `benchmark/` is collected on its own, so a refactor that deletes a name the
-benchmark's tracer wraps, or changes a constructor call or the
-`step_strang(f, dt)` call its workloads make, would otherwise break only
-benchmark runs.
+benchmark's tracer wraps, or changes a constructor call, the
+`step_strang(f, dt)` call or the `evolve` call its workloads make, would
+otherwise break only benchmark runs.
 """
 
 import os
@@ -16,19 +16,24 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # package, which must not leak into the rest of the test session
 SCRIPT = """
 import sys
+from types import SimpleNamespace
 sys.path[:0] = [{src!r}, {bench!r}]
 import tracing
+from nls2d import evolution
 from nls2d.evolution import ProbeSpec, StepControls, step_strang
 from nls2d.functionals import conserved
 from nls2d.grid import Field, SpectralGrid
 tracing.install(tracing.Tracer({spool!r}))
-StepControls(dt0=1e-3, dt_min=1e-3, dt_max=1e-3, scheme="kahan_li6")
-ProbeSpec(cadence=0.03, snapshot_times=(0.03,))
+controls = StepControls(dt0=1e-3, dt_min=1e-3, dt_max=1e-3, scheme="kahan_li6")
+probes = ProbeSpec(cadence=0.03, snapshot_times=(0.03,))
 g = SpectralGrid(16, 8.0)
 assert g.K2.shape == (16, 16)
 f = Field(g, [[0.5] * 16] * 16)
 assert abs(step_strang(f, 1e-3).t - 1e-3) < 1e-15
 assert abs(conserved(f).mass - 0.25 * 8.0**2) < 1e-12
+# the soliton workload's call: evolve, then the last kept snapshot
+rec = evolution.evolve(f, 0.03, controls, SimpleNamespace(qq_gq=1.0), probes)
+assert abs(rec.snapshots[-1].t - 0.03) < 1e-12
 """
 
 

@@ -91,3 +91,16 @@ def test_explain_config_is_complete_and_parses():
     tail = text[text.index(marker) + len(marker):]
     defaults = json.loads(tail)
     assert validate_config(defaults) == validate_config({})
+
+
+def test_validated_config_shares_nothing_with_the_defaults():
+    # a caller may edit its validated config in place; the defaults, and
+    # every config validated after it, must not see the edit
+    fresh = json.dumps(validate_config({}))
+    explained = explain_config()
+    cfg = validate_config({})
+    cfg["sweep"]["lambdas"].append(0.8)
+    cfg["initial_data"]["params"]["lam"] = 1.2
+    cfg["grid"]["n"] = 64
+    assert json.dumps(validate_config({})) == fresh
+    assert explain_config() == explained

@@ -1,5 +1,7 @@
 """Split-step integrator: conservation, reversibility, order, detectors."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from nls2d import (
     evolve,
     galilean_boost,
     make_initial_data,
+    moments,
     step_strang,
     write_trajectory_csv,
 )
@@ -116,35 +119,71 @@ def test_strang_energy_error_is_second_order(gs_cert, grid_256):
     assert 3.5 <= r <= 4.5
 
 
-def test_evolve_default_scheme_is_step_strang(gs_cert, grid_128):
-    # dyadic dt keeps every step the same size, and at cadence = dt each
-    # probe interval is one step, so evolve must reproduce repeated
-    # step_strang bit for bit
-    f = gaussian(grid_128, 0.8, 1.2)
-    dt = 2.0**-10
-    rec = evolve(f, 8 * dt, fixed_dt(dt), gs_cert,
-                 ProbeSpec(cadence=dt, snapshot_times=(0.0, 8 * dt)))
-    u = f
-    for _ in range(8):
-        u = step_strang(u, dt)
-    assert rec.steps_taken == 8
-    assert np.array_equal(rec.snapshots[-1].values, u.values)
-
-
-def test_fused_steps_match_step_strang(gs_cert, grid_128):
+@pytest.mark.parametrize("probe_steps", [1, 8], ids=["cadence_dt", "cadence_8dt"])
+def test_fused_steps_match_step_strang(gs_cert, grid_128, probe_steps):
     # within one probe interval the closing half flow of a step and the
-    # opening half flow of the next merge into one multiplier; that changes
-    # only the rounding, so 8 fused steps stay at roundoff from 8 single ones
+    # opening half flow of the next merge into one multiplier, and across
+    # probes the stepper keeps its spectrum rather than transforming the
+    # probe's field back; both change only the rounding, so 8 fused steps
+    # stay at roundoff from 8 single ones (dyadic dt keeps the steps equal)
     f = gaussian(grid_128, 0.8, 1.2)
     dt = 2.0**-10
     rec = evolve(f, 8 * dt, fixed_dt(dt), gs_cert,
-                 ProbeSpec(cadence=8 * dt, snapshot_times=(8 * dt,)))
+                 ProbeSpec(cadence=probe_steps * dt, snapshot_times=(8 * dt,)))
     u = f
     for _ in range(8):
         u = step_strang(u, dt)
     assert rec.steps_taken == 8
     dev = np.max(np.abs(rec.snapshots[-1].values - u.values))
     assert dev < 1e-13 * np.max(np.abs(u.values))
+
+
+@pytest.mark.parametrize("scheme, per_step", [("strang", 2), ("kahan_li6", 18)])
+def test_evolve_transforms_each_field_once(grid_128, monkeypatch, scheme,
+                                           per_step):
+    # one forward FFT of the datum, per_step FFTs per step, and one inverse
+    # FFT per probe interval for the probe's field: no probe transforms the
+    # field back, and every transform is scipy's
+    import scipy.fft
+
+    f = gaussian(grid_128, 0.8, 1.2)
+    calls = []
+    for module, backend in ((scipy.fft, "scipy"), (np.fft, "numpy")):
+        for name in ("fft2", "ifft2"):
+            def counted(*args, _fn=getattr(module, name), _backend=backend,
+                        **kwargs):
+                calls.append(_backend)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    dt = 2.0**-10
+    rec = evolve(f, 8 * dt, fixed_dt(dt, scheme=scheme), SimpleNamespace(qq_gq=1.0),
+                 ProbeSpec(cadence=2 * dt))
+    steps, intervals = 8, 4
+    assert rec.steps_taken == steps and len(rec.times) == intervals + 1
+    assert calls.count("numpy") == 0
+    assert calls.count("scipy") == per_step * steps + intervals + 1
+
+
+def test_probe_reads_the_spectrum_of_its_field(grid_128):
+    # a probe reads mass and l6_6 off its field and grad_sq, momentum and
+    # tail off the stepper's spectrum, which is fft2 of that field up to
+    # roundoff; the datum moves off centre and carries a weak mode past 2/3
+    # Nyquist, so no compared value is at roundoff itself
+    g = grid_128
+    vals = (0.9 * np.exp(-((g.X - 1.5) ** 2 / 2.9 + (g.Y + 0.75) ** 2 / 1.3)
+                         + 1j * (0.5 * g.X - 0.25 * g.Y))
+            + 0.01 * np.exp(-(g.X**2 + g.Y**2) / 4.0 + 9.5j * g.X))
+    times = tuple(0.05 * i for i in range(5))
+    rec = evolve(Field(g, vals), 0.2, StepControls(), SimpleNamespace(qq_gq=1.0),
+                 ProbeSpec(cadence=0.05, snapshot_times=times))
+    assert rec.outcome == RAN_TO_T_END
+    assert [s.t for s in rec.snapshots] == rec.times
+    for i, snap in enumerate(rec.snapshots):
+        m = moments(snap)
+        assert rec.l6_6[i] == m.l6_6
+        for got, want in ((rec.grad_sq[i], m.grad_sq), (rec.momx[i], m.px),
+                          (rec.momy[i], m.py), (rec.tail_fraction[i], m.tail)):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_fused_dt_rule_is_the_seeds(gs_cert, grid_128):
