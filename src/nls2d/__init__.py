@@ -65,7 +65,6 @@ from .diagnostics import (
     variance,
     variance_derivative,
     virial_check_full,
-    virial_rhs,
     write_scattering_json,
     write_virial_csv,
 )

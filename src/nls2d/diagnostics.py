@@ -93,21 +93,16 @@ def variance(f: Field) -> float:
     return float(g.dx**2 * np.sum((g.X**2 + g.Y**2) * np.abs(f.values) ** 2))
 
 
-def variance_derivative(f: Field) -> float:
-    """V'(t) by the momentum-flux formula 4 Im int conj(u) (x . grad u)."""
+def variance_derivative(f: Field, grad=None) -> float:
+    """V'(t) by the momentum-flux formula 4 Im int conj(u) (x . grad u);
+    grad is spectral_gradient(f) if the caller holds it."""
     g = f.grid
-    ux, uy = spectral_gradient(f)
+    ux, uy = spectral_gradient(f) if grad is None else grad
     integrand = np.conj(f.values) * (g.X * ux + g.Y * uy)
     return float(4.0 * g.dx**2 * np.imag(np.sum(integrand)))
 
 
-def virial_rhs(f: Field) -> float:
-    """The virial identity right side 8 ||grad u||^2 - (16/3) ||u||_L6^6."""
-    m = moments(f)
-    return 8.0 * m.grad_sq - (16.0 / 3.0) * m.l6_6
-
-
-def localized_variance(f: Field, cutoff: Cutoff):
+def localized_variance(f: Field, cutoff: Cutoff, grad=None, virial=None):
     """Localized variance z_R and its first two exact time derivatives.
 
     With weight W(x) = R^2 phi(x/R):
@@ -116,7 +111,9 @@ def localized_variance(f: Field, cutoff: Cutoff):
       z''_R = 4 int [phi''|du_r|^2 + (phi'/rho)|du_tau|^2]
               - (1/R^2) int (bilap phi) |u|^2 - (4/3) int (lap phi) |u|^6
     Returns (z_R, zp_R, zpp_R, A_R) where A_R is z''_R minus the
-    unlocalized expression 8||grad u||^2 - (16/3)||u||^6.
+    unlocalized expression 8||grad u||^2 - (16/3)||u||^6.  grad and virial
+    are spectral_gradient(f) and moments(f).virial if the caller holds
+    them; otherwise both come from one FFT of f.
     """
     g = f.grid
     if cutoff.grid is not g and cutoff.grid != g:
@@ -125,7 +122,10 @@ def localized_variance(f: Field, cutoff: Cutoff):
     a2 = np.abs(f.values) ** 2
     z = float(dx2 * np.sum(cutoff.w * a2))
 
-    ux, uy = spectral_gradient(f)
+    if grad is None or virial is None:
+        fh = fft.fft2(f.values)
+        grad, virial = spectral_gradient(f, fh), moments(f, fh).virial
+    ux, uy = grad
     # radial and tangential derivative components (safe at the origin,
     # where the weights carry the vanishing factors)
     r_safe = np.where(g.R == 0.0, 1.0, g.R)
@@ -142,7 +142,7 @@ def localized_variance(f: Field, cutoff: Cutoff):
         - dx2 / cutoff.R**2 * np.sum(cutoff.bilap * a2)
         - (4.0 / 3.0) * dx2 * np.sum(cutoff.lap * a6)
     )
-    A_R = zpp - virial_rhs(f)
+    A_R = zpp - virial
     return z, zp, zpp, A_R
 
 
@@ -164,6 +164,7 @@ def virial_check_full(snapshots: list[Field], R: float | None = None) -> VirialT
     Snapshots must be uniformly spaced in time (5 or more).  V'' by the
     formula is compared against centered second differences of V; the
     localized column uses the compact cutoff at radius R (default L/4).
+    Each snapshot costs one forward and two inverse FFTs.
     """
     if len(snapshots) < 5:
         raise ValueError("need at least 5 uniformly spaced snapshots")
@@ -175,21 +176,19 @@ def virial_check_full(snapshots: list[Field], R: float | None = None) -> VirialT
     if R is None:
         R = g.L / 4.0
     cutoff = Cutoff(R, g)
-    V = np.array([variance(s) for s in snapshots])
-    Vp = np.array([variance_derivative(s) for s in snapshots])
-    Vpp = np.array([virial_rhs(s) for s in snapshots])
+    rows = []
+    for s in snapshots:
+        fh = fft.fft2(s.values)
+        grad, vpp = spectral_gradient(s, fh), moments(s, fh).virial
+        z, zp, _, ar = localized_variance(s, cutoff, grad, vpp)
+        rows.append((variance(s), variance_derivative(s, grad), vpp, z, zp, ar))
+    V, Vp, Vpp, z_R, zp_R, A_R = (np.array(col) for col in zip(*rows))
     Vpp_fd = np.full_like(V, np.nan)
     h = dt[0]
     Vpp_fd[1:-1] = (V[2:] - 2.0 * V[1:-1] + V[:-2]) / h**2
-    zs, zps, ars = [], [], []
-    for s in snapshots:
-        z, zp, _, ar = localized_variance(s, cutoff)
-        zs.append(z)
-        zps.append(zp)
-        ars.append(ar)
     return VirialTrace(
         times=times, V=V, Vp_formula=Vp, Vpp_formula=Vpp, Vpp_fd=Vpp_fd,
-        z_R=np.array(zs), zp_R=np.array(zps), A_R=np.array(ars),
+        z_R=z_R, zp_R=zp_R, A_R=A_R,
     )
 
 
@@ -273,7 +272,8 @@ def blowup_time_bound(f: Field, gs, R: float, kappa: float,
     exterior gradient stays within the kappa budget.  Returns (t_b, info)
     with t_b None when the hypotheses are not verifiable at t = 0.
     """
-    m = moments(f)
+    fh = fft.fft2(f.values)
+    m = moments(f, fh)
     rn = renormalized(m, gs)
     if not (rn.ME < 1.0 and rn.G > 1.0):
         raise ValueError("bound applies above threshold (ME < 1, G(0) > 1)")
@@ -285,7 +285,7 @@ def blowup_time_bound(f: Field, gs, R: float, kappa: float,
             f"{min(lam - 1.0, kappa0):g}"
         )
     g = f.grid
-    ux, uy = spectral_gradient(f)
+    ux, uy = grad = spectral_gradient(f, fh)
     ext = g.R >= R
     grad_ext = float(g.dx**2 * np.sum(np.abs(ux[ext]) ** 2 + np.abs(uy[ext]) ** 2))
     G_ext = float(np.sqrt(m.mass * grad_ext) / gs.qq_gq)
@@ -294,7 +294,7 @@ def blowup_time_bound(f: Field, gs, R: float, kappa: float,
         info["reason"] = "exterior gradient exceeds the kappa budget at t = 0"
         return None, info
     cutoff = Cutoff(R, g)
-    z, zp, _, _ = localized_variance(f, cutoff)
+    z, zp, _, _ = localized_variance(f, cutoff, grad, m.virial)
     denom = 32.0 * gs.energyQ * lam_sq * (lam_sq - 1.0 - kappa)
     V_R = z / denom
     Vp_R = zp / denom

@@ -70,7 +70,7 @@ def free_flow(w: np.ndarray, h: float, k1d: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StepControls:
-    dt0: float = 1e-3
+    dt0: float | None = None  # unread: every dt comes from the dt rule
     dt_min: float = 1e-7
     dt_max: float = 1e-2
     cfl_c: float = 0.25
@@ -79,10 +79,9 @@ class StepControls:
     scheme: str = "strang"
 
     def __post_init__(self):
-        if not (0.0 < self.dt_min <= self.dt0 <= self.dt_max):
+        if not (0.0 < self.dt_min <= self.dt_max):
             raise ValueError(
-                f"need 0 < dt_min <= dt0 <= dt_max, got "
-                f"({self.dt_min:g}, {self.dt0:g}, {self.dt_max:g})"
+                f"need 0 < dt_min <= dt_max, got ({self.dt_min:g}, {self.dt_max:g})"
             )
         if not (0.0 < self.cfl_c <= 1.0):
             raise ValueError(f"cfl_c must lie in (0, 1], got {self.cfl_c:g}")
@@ -216,7 +215,7 @@ def step_strang(f: Field, dt: float) -> Field:
     if dt <= 1e-12:
         raise ValueError(f"dt must exceed 1e-12, got {dt:g}")
     w, _, _ = _advance(fft.fft2(f.values), f.values, 0.0, dt,
-                       StepControls(dt0=dt, dt_min=dt, dt_max=dt), f.grid.k1d)
+                       StepControls(dt_min=dt, dt_max=dt), f.grid.k1d)
     if w is None:
         raise ValueError("the step overflowed to non-finite samples")
     return Field(f.grid, fft.ifft2(w, overwrite_x=True), f.t + dt)

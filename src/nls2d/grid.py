@@ -109,6 +109,10 @@ class Moments:
     def energy(self) -> float:
         return 0.5 * self.grad_sq - self.l6_6 / 6.0
 
+    @property
+    def virial(self) -> float:  # V'' by the virial identity
+        return 8.0 * self.grad_sq - (16.0 / 3.0) * self.l6_6
+
 
 def moments(f: Field, fh: np.ndarray | None = None) -> Moments:
     """Mass, gradient norm, L6 integral, momentum and spectral tail of f;
@@ -130,9 +134,12 @@ def moments(f: Field, fh: np.ndarray | None = None) -> Moments:
     )
 
 
-def spectral_gradient(f: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Partial derivatives (du/dx, du/dy) via the i*k multiplier."""
-    fh = fft.fft2(f.values)
+def spectral_gradient(f: Field, fh: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Partial derivatives (du/dx, du/dy) via the i*k multiplier; fh is
+    fft2(f.values) if the caller holds it, and is only read."""
+    if fh is None:
+        fh = fft.fft2(f.values)
     ux = fft.ifft2(f.grid.ikx * fh)
     uy = fft.ifft2(f.grid.iky * fh)
     return ux, uy

@@ -91,7 +91,6 @@ class RadialProfile:
     c_tail: float      # Q(r) ~ c_tail * K0(r) beyond r_switch
     r_switch: float
     r_max: float
-    tol: float
 
     def __post_init__(self):
         # clamped-end spline: Q'(0) = 0, far end follows the K0 slope
@@ -116,7 +115,7 @@ class RadialProfile:
         return val
 
 
-def _integrate_profile(a_star: float, tol: float) -> RadialProfile:
+def _integrate_profile(a_star: float) -> RadialProfile:
     """Integrate the converged shot outward and graft the K0 tail."""
     q0, p0 = _series_start(a_star)
     small = lambda r, y: y[0] - _TAIL_THRESHOLD
@@ -142,18 +141,16 @@ def _integrate_profile(a_star: float, tol: float) -> RadialProfile:
     return RadialProfile(
         r=np.concatenate([r_core, r_tail]),
         q=np.concatenate([q_core, q_tail]),
-        q0=a_star, c_tail=c_tail, r_switch=r_switch, r_max=_R_MAX, tol=tol,
+        q0=a_star, c_tail=c_tail, r_switch=r_switch, r_max=_R_MAX,
     )
 
 
-def solve_radial_shooting(tol: float = 1e-12) -> RadialProfile:
+def solve_radial_shooting() -> RadialProfile:
     """Bisection on Q(0) between a turning-up and a zero-crossing shot.
 
-    tol bounds the requested accuracy class (the integrator itself runs at
-    rtol 1e-13); bisection proceeds to floating-point exhaustion either way.
+    It takes no tolerance: bisection runs to floating-point exhaustion, and
+    the integrator runs at rtol 1e-13.
     """
-    if not (1e-12 <= tol <= 1e-6):
-        raise ValueError(f"tol must lie in [1e-12, 1e-6], got {tol:g}")
     lo, hi = 1.5, 3.0
     if _classify_shot(lo) != "low":
         raise CertificationError("bisection bracket not found at the low end")
@@ -171,7 +168,7 @@ def solve_radial_shooting(tol: float = 1e-12) -> RadialProfile:
             hi = mid
         else:
             lo = mid
-    profile = _integrate_profile(0.5 * (lo + hi), tol)
+    profile = _integrate_profile(0.5 * (lo + hi))
     if abs(profile.q_of(profile.r_max)) > 1e-10:
         raise CertificationError("profile does not decay at r_max")
     return profile
@@ -258,7 +255,6 @@ def solve_petviashvili(
     tol: float = 1e-10,
     max_iter: int = 500,
     profile: RadialProfile | None = None,
-    shooting_tol: float = 1e-12,
 ) -> GroundState:
     """Spectral fixed-point iteration for the ground state on a grid.
 
@@ -270,7 +266,7 @@ def solve_petviashvili(
     against the shooting oracle and the integral identities.
     """
     if profile is None:
-        profile = solve_radial_shooting(shooting_tol)
+        profile = solve_radial_shooting()
     gamma = 1.25
     u = 2.2 * np.exp(-grid.R**2 / 2.0)
     one_plus_k2 = 1.0 + grid.K2
@@ -394,7 +390,6 @@ def save_ground_state(gs: GroundState, path: str) -> None:
             "q0": gs.radial_profile.q0,
             "c_tail": gs.radial_profile.c_tail,
             "r_switch": gs.radial_profile.r_switch,
-            "tol": gs.radial_profile.tol,
         },
     }
     with atomic_open(path + ".json") as fh:
@@ -418,8 +413,7 @@ def load_ground_state(path: str, grid: SpectralGrid | None = None) -> GroundStat
     if digest != sidecar.get("checksum"):
         raise CertificationError("cache hash mismatch: checkpoint does not match sidecar")
     f = read_checkpoint(path, grid)
-    profile = _integrate_profile(float(sidecar["shooting"]["q0"]),
-                                 float(sidecar["shooting"]["tol"]))
+    profile = _integrate_profile(float(sidecar["shooting"]["q0"]))
     return _certify(f, profile, str(sidecar.get("method", "cache")),
                     float(sidecar.get("tol", np.nan)),
                     float(sidecar.get("s_final", np.nan)))

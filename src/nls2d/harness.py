@@ -41,7 +41,6 @@ from .diagnostics import (
     blowup_time_bound,
     scattering_detect,
     virial_check_full,
-    virial_rhs,
     write_scattering_json,
     write_virial_csv,
 )
@@ -59,12 +58,7 @@ def prepare_ground_state(cfg: dict):
         gs = load_ground_state(gscfg["cache"])
     else:
         grid = SpectralGrid(gscfg["n"], gscfg["L"])
-        gs = solve_petviashvili(
-            grid,
-            tol=gscfg["tol"],
-            max_iter=gscfg["max_iter"],
-            shooting_tol=gscfg["shooting_tol"],
-        )
+        gs = solve_petviashvili(grid, tol=gscfg["tol"], max_iter=gscfg["max_iter"])
     if not gs.certified:
         raise CertificationError(
             "ground state failed certification: residuals "
@@ -388,7 +382,7 @@ def cmd_verify() -> bool:
     record("cutoff constraints", cut_ok,
            f"|x|^2 inside R to {cut_err:.1e} relative, zero beyond 2R")
 
-    vr = virial_rhs(gs.field)
+    vr = moments(gs.field).virial
     record("soliton virial balance", abs(vr) <= 1e-5 * gs.gradQ_sq,
            f"V'' = {vr:.2e} vs grad^2 {gs.gradQ_sq:.2e}")
 

@@ -21,7 +21,7 @@ from nls2d import (
 
 @pytest.fixture(scope="session")
 def shooting_profile():
-    return solve_radial_shooting(tol=1e-12)
+    return solve_radial_shooting()
 
 
 @pytest.fixture(scope="session")

@@ -40,7 +40,6 @@ from nls2d import (
     run_single,
     validate_config,
     virial_check_full,
-    virial_rhs,
 )
 from nls2d.classifier import CASE_BLOWUP, CASE_NEGATIVE_ENERGY, CASE_SCATTER
 
@@ -50,7 +49,7 @@ REGISTRY: dict = {"runs": [], "sweep_seconds": []}
 
 
 def fixed_dt(dt, **kw):
-    return StepControls(dt0=dt, dt_min=dt, dt_max=dt, **kw)
+    return StepControls(dt_min=dt, dt_max=dt, **kw)
 
 
 def register_rec(label: str, rec, case: str, ME: float):
@@ -342,7 +341,7 @@ def test_criterion_10_virial_identity(gs_cert):
     assert 3.0 <= worst(coarse) / worst(trace) <= 5.0
 
     # stationary profile: the formula vanishes to quadrature accuracy
-    assert abs(virial_rhs(gs_cert.field)) <= 1e-5 * gs_cert.gradQ_sq
+    assert abs(moments(gs_cert.field).virial) <= 1e-5 * gs_cert.gradQ_sq
 
     v = classify(f, gs_cert)
     register_rec("virial window gaussian", rec, v.case, v.ME)

@@ -47,8 +47,11 @@ def test_unknown_nested_key():
 
 
 def test_cross_field_checks():
-    with pytest.raises(ConfigError, match="dt_min <= dt0 <= dt_max"):
-        validate_config({"controls": {"dt_min": 1e-2, "dt0": 1e-3}})
+    with pytest.raises(ConfigError, match="dt_min <= dt_max"):
+        validate_config({"controls": {"dt_min": 1e-2, "dt_max": 1e-3}})
+    # a fixed dt below every default is a valid run
+    fixed = validate_config({"controls": {"dt_min": 5e-4, "dt_max": 5e-4}})
+    assert fixed["controls"]["dt_min"] == fixed["controls"]["dt_max"] == 5e-4
     # a value the key's own check takes but the step controls reject
     with pytest.raises(ConfigError, match=r"controls: tail_max must lie in \(0, 0\.1\]"):
         validate_config({"controls": {"tail_max": 0.5}})
@@ -83,9 +86,11 @@ def test_load_config_round_trip(tmp_path):
 def test_explain_config_is_complete_and_parses():
     text = explain_config()
     for key in ("grid.n", "ground_state.cache", "initial_data.family",
-                "controls.dt0", "probes.cadence", "diagnostics.window",
+                "controls.dt_min", "probes.cadence", "diagnostics.window",
                 "sweep.lambdas", "t_end", "seed", "output_dir"):
         assert key in text
+    for deleted in ("dt0", "shooting_tol"):
+        assert deleted not in text
     # the trailing block is the full default config as valid JSON
     marker = "Defaults as a complete config:"
     tail = text[text.index(marker) + len(marker):]

@@ -22,7 +22,6 @@ from nls2d import (
     variance,
     variance_derivative,
     virial_check_full,
-    virial_rhs,
 )
 from nls2d.diagnostics import _phi_derivs
 
@@ -121,7 +120,7 @@ def test_variance_derivative_vanishes_for_real_fields(grid_128):
 
 def test_virial_rhs_on_soliton(gs_cert):
     # stationary profile: the virial right side vanishes identically
-    assert abs(virial_rhs(gs_cert.field)) <= 1e-5 * gs_cert.gradQ_sq
+    assert abs(moments(gs_cert.field).virial) <= 1e-5 * gs_cert.gradQ_sq
 
 
 def test_localized_variance_matches_global_inside(grid_128):
@@ -131,8 +130,9 @@ def test_localized_variance_matches_global_inside(grid_128):
     z, zp, zpp, A_R = localized_variance(f, c)
     assert z == pytest.approx(variance(f), rel=1e-10)
     assert abs(zp - variance_derivative(f)) < 1e-10
-    assert abs(A_R) < 1e-9 * max(1.0, abs(virial_rhs(f)))
-    assert zpp == pytest.approx(virial_rhs(f), abs=1e-9)
+    virial = moments(f).virial
+    assert abs(A_R) < 1e-9 * max(1.0, abs(virial))
+    assert zpp == pytest.approx(virial, abs=1e-9)
 
 
 def test_localized_variance_grid_guard(grid_128, grid_256):
@@ -158,6 +158,29 @@ def test_virial_check_full_fd_agreement(gs_cert, grid_128):
     zp_fd = (trace.z_R[2:] - trace.z_R[:-2]) / (2.0 * h)
     assert np.max(np.abs(zp_fd - trace.zp_R[mid])) < 1e-4 * max(
         1.0, np.max(np.abs(trace.zp_R)))
+
+
+def test_virial_layer_transforms_each_field_once(gs_cert, grid_cert, monkeypatch):
+    # one fft2 per field feeds its moments and its gradient's two ifft2s
+    import scipy.fft
+
+    g = SpectralGrid(64, 16.0)
+    snaps = [gaussian(g, 0.5, 1.0 + 0.1 * i) for i in range(5)]
+    for i, s in enumerate(snaps):
+        s.t = 0.01 * i
+    above = make_initial_data("scaled_q", {"lam": 1.2}, grid_cert, gs=gs_cert)
+    calls = []
+    for name in ("fft2", "ifft2"):
+        def counted(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, counted)
+    virial_check_full(snaps, R=3.0)
+    assert (calls.count("fft2"), calls.count("ifft2")) == (5, 10)
+    calls.clear()
+    t_b, _ = blowup_time_bound(above, gs_cert, R=12.0, kappa=0.05)
+    assert t_b is not None
+    assert (calls.count("fft2"), calls.count("ifft2")) == (1, 2)
 
 
 def test_virial_check_full_guards(grid_128):

@@ -31,14 +31,14 @@ def gaussian(grid, amp=1.0, width=1.0):
 
 
 def fixed_dt(dt, **kw):
-    return StepControls(dt0=dt, dt_min=dt, dt_max=dt, **kw)
+    return StepControls(dt_min=dt, dt_max=dt, **kw)
 
 
 def test_step_controls_validation():
     with pytest.raises(ValueError):
-        StepControls(dt_min=1e-2, dt0=1e-3)
+        StepControls(dt_min=0.0)
     with pytest.raises(ValueError):
-        StepControls(dt_max=1e-4)
+        StepControls(dt_min=1e-3, dt_max=1e-4)
     with pytest.raises(ValueError):
         StepControls(cfl_c=0.0)
     with pytest.raises(ValueError):

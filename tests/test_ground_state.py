@@ -13,6 +13,7 @@ tolerance 1e-13 and pinned here as a regression guard):
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -38,13 +39,6 @@ L6_Q = 11.950342395665654
 ENERGY_Q = 1.9917237326109316
 C_GN = 0.04726537147322228
 QQ_GQ = 5.633445430317513
-
-
-def test_shooting_tol_validation():
-    with pytest.raises(ValueError):
-        solve_radial_shooting(tol=1e-13)
-    with pytest.raises(ValueError):
-        solve_radial_shooting(tol=1e-3)
 
 
 def test_shooting_amplitude_regression(shooting_profile):
@@ -187,6 +181,24 @@ def test_cache_round_trip(gs_cert, tmp_path):
     assert back.l6Q_6 == gs_cert.l6Q_6
     assert np.array_equal(back.field.values, gs_cert.field.values)
     assert back.radial_profile.q0 == gs_cert.radial_profile.q0
+
+
+def test_cache_loads_a_sidecar_with_a_shooting_tol(gs_cert, tmp_path):
+    # an older sidecar carries "tol" under "shooting", which nothing reads;
+    # it must load and certify as a fresh solve does
+    path = str(tmp_path / "gs.nls2")
+    save_ground_state(gs_cert, path)
+    with open(path + ".json") as fh:
+        sidecar = json.load(fh)
+    assert "tol" not in sidecar["shooting"]
+    sidecar["shooting"]["tol"] = 1e-12
+    with open(path + ".json", "w") as fh:
+        json.dump(sidecar, fh, indent=2)
+    back = load_ground_state(path)
+    assert back.certified
+    assert (back.massQ, back.gradQ_sq, back.l6Q_6) == (
+        gs_cert.massQ, gs_cert.gradQ_sq, gs_cert.l6Q_6)
+    assert back.sup_err_vs_oracle == gs_cert.sup_err_vs_oracle
 
 
 def test_cache_rejects_tampering(gs_cert, tmp_path):

@@ -221,6 +221,12 @@ def test_cli_config_errors(tmp_path, capsys):
     assert main(["run", "--config", str(tail), "--out", str(tmp_path)]) == 2
     assert "controls: tail_max" in capsys.readouterr().err
 
+    # the shooting oracle takes no tolerance, so the key is unknown
+    shooting = tmp_path / "shooting.json"
+    shooting.write_text(json.dumps({"ground_state": {"shooting_tol": 0.5}}))
+    assert main(["ground", "--config", str(shooting), "--out", str(tmp_path)]) == 2
+    assert "ground_state.shooting_tol: unknown key" in capsys.readouterr().err
+
 
 def test_cli_verify_takes_no_config(tmp_path, capsys):
     # the battery runs on fixed grids, so a config is an argparse error
