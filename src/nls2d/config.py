@@ -53,7 +53,7 @@ _FAMILIES = ("scaled_q", "perturbed_q", "gaussian", "boosted")
 SCHEMA: dict[str, Any] = {
     "grid": {
         "n": Item((int,), 512, "points per axis, power of two >= 16", _power_of_two),
-        "L": Item((int, float), 32.0, "box half-width; domain is [-L/2, L/2)^2",
+        "L": Item((int, float), 32.0, "box side length; domain is [-L/2, L/2)^2",
                   _positive),
     },
     "ground_state": {

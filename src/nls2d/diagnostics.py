@@ -9,14 +9,14 @@ compares late-time states against a free evolution.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import fft
 
-from .grid import Field, atomic_open, boundary_mass_fraction, moments, spectral_gradient
+from .grid import (Field, atomic_open, boundary_mass_fraction, moments,
+                   spectral_gradient, variance, write_float_csv)
 from .functionals import renormalized
 from .evolution import RAN_TO_T_END, free_flow
 
@@ -80,18 +80,6 @@ class Cutoff:
 
 # ---------------------------------------------------------------------------
 # variance and virial identities
-
-def variance(f: Field) -> float:
-    """int |x|^2 |u|^2 over the box; meaningless once mass reaches the boundary."""
-    frac = boundary_mass_fraction(f)
-    if frac > 1e-10:
-        raise ValueError(
-            f"boundary mass fraction {frac:.2e} exceeds 1e-10; "
-            "variance is not meaningful on a wrapped field"
-        )
-    g = f.grid
-    return float(g.dx**2 * np.sum((g.X**2 + g.Y**2) * np.abs(f.values) ** 2))
-
 
 def variance_derivative(f: Field, grad=None) -> float:
     """V'(t) by the momentum-flux formula 4 Im int conj(u) (x . grad u);
@@ -192,15 +180,13 @@ def virial_check_full(snapshots: list[Field], R: float | None = None) -> VirialT
     )
 
 
+# virial.csv's columns after t; zp_R is computed but not written
+VIRIAL_COLUMNS = ("V", "Vp_formula", "Vpp_formula", "Vpp_fd", "z_R", "A_R")
+
+
 def write_virial_csv(trace: VirialTrace, path: str) -> None:
-    with atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "V", "Vp_formula", "Vpp_formula", "Vpp_fd", "z_R", "A_R"])
-        for i in range(len(trace.times)):
-            writer.writerow([repr(float(v)) for v in (
-                trace.times[i], trace.V[i], trace.Vp_formula[i],
-                trace.Vpp_formula[i], trace.Vpp_fd[i],
-                trace.z_R[i], trace.A_R[i])])
+    write_float_csv(path, ("t",) + VIRIAL_COLUMNS, zip(
+        trace.times, *(getattr(trace, c) for c in VIRIAL_COLUMNS)))
 
 
 # ---------------------------------------------------------------------------

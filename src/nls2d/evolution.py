@@ -31,7 +31,6 @@ onset of blow-up and stop; nothing is simulated past resolution loss.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft
 
-from .grid import Field, Moments, atomic_open, boundary_mass_fraction, moments
+from .grid import Field, Moments, atomic_open, moments, variance, write_float_csv
 
 
 # stage sizes gamma_j (fractions of dt) of symmetric compositions of the
@@ -106,23 +105,21 @@ RAN_TO_T_END = "ran_to_t_end"
 BLOWUP_DETECTED = "blowup_detected"
 UNDERRESOLVED = "underresolved"
 
+# a probe's columns in trajectory.csv order, after t; variance, last, only
+# when ProbeSpec.variance asks for it
+COLUMNS = ("grad_sq", "l6_6", "mass_drift", "energy_drift", "momx", "momy",
+           "G", "tail_fraction", "variance")
+
 
 class TrajectoryRecord:
-    """Time series of norms and drifts along one simulated trajectory."""
+    """Time series of norms and drifts along one simulated trajectory: the
+    list `times` and one list per name in `columns`."""
 
-    def __init__(self, grid, variance_enabled: bool):
-        self.grid = grid
-        self.variance_enabled = variance_enabled
+    def __init__(self, variance: bool = False):
+        self.columns = COLUMNS if variance else COLUMNS[:-1]
         self.times: list[float] = []
-        self.grad_sq: list[float] = []
-        self.l6_6: list[float] = []
-        self.mass_drift: list[float] = []
-        self.energy_drift: list[float] = []
-        self.momx: list[float] = []
-        self.momy: list[float] = []
-        self.G: list[float] = []
-        self.tail_fraction: list[float] = []
-        self.variance: list[float] = []
+        for c in self.columns:
+            setattr(self, c, [])
         self.snapshots: list[Field] = []
         self.outcome: str | None = None
         self.outcome_t: float | None = None
@@ -130,20 +127,15 @@ class TrajectoryRecord:
         self.mass0: float = np.nan
         self.energy0: float = np.nan
 
-    def add_sample(self, t, grad_sq, l6_6, mass_drift, energy_drift,
-                   momx, momy, G, tail, variance=np.nan):
+    def add_sample(self, t, **columns):
         if self.times and t <= self.times[-1]:
             raise ValueError("sample times must be strictly increasing")
+        if columns.keys() != set(self.columns):
+            raise ValueError(f"a sample needs the columns {self.columns}, "
+                             f"got {tuple(columns)}")
         self.times.append(t)
-        self.grad_sq.append(grad_sq)
-        self.l6_6.append(l6_6)
-        self.mass_drift.append(mass_drift)
-        self.energy_drift.append(energy_drift)
-        self.momx.append(momx)
-        self.momy.append(momy)
-        self.G.append(G)
-        self.tail_fraction.append(tail)
-        self.variance.append(variance)
+        for c in self.columns:
+            getattr(self, c).append(columns[c])
 
     def set_outcome(self, outcome: str, t: float):
         if self.outcome is not None:
@@ -244,28 +236,27 @@ def detect_blowup(rec: TrajectoryRecord, controls: StepControls) -> float | None
     return None
 
 
-def _probe(u: Field, m: Moments, gs, rec: TrajectoryRecord, want_variance: bool):
-    g = u.grid
-    G = float(np.sqrt(m.mass * m.grad_sq) / gs.qq_gq)
-    var = np.nan
-    if want_variance:
-        if boundary_mass_fraction(u) <= 1e-10:
-            var = float(g.dx**2 * np.sum((g.X**2 + g.Y**2) * np.abs(u.values) ** 2))
+def _probe(u: Field, m: Moments, gs, rec: TrajectoryRecord) -> dict:
+    """The row of rec's columns at u; m is moments(u)."""
     # drifts compare against the t = 0 sample, read by the same kernel, so
     # no change of estimator can masquerade as conservation loss
     m0, e0 = rec.mass0, rec.energy0
-    rec.add_sample(
-        t=u.t,
+    row = dict(
         grad_sq=m.grad_sq,
         l6_6=m.l6_6,
         mass_drift=(m.mass - m0) / m0 if m0 > 0.0 else 0.0,
         energy_drift=(m.energy - e0) / max(abs(e0), 1e-3),
         momx=m.px,
         momy=m.py,
-        G=G,
-        tail=m.tail,
-        variance=var,
+        G=float(np.sqrt(m.mass * m.grad_sq) / gs.qq_gq),
+        tail_fraction=m.tail,
     )
+    if "variance" in rec.columns:
+        try:
+            row["variance"] = variance(u)
+        except ValueError:  # mass at the boundary
+            row["variance"] = np.nan
+    return row
 
 
 def evolve(
@@ -286,7 +277,7 @@ def evolve(
         probes = ProbeSpec()
     if t_end <= f.t:
         raise ValueError("t_end must exceed the field's current time")
-    rec = TrajectoryRecord(f.grid, probes.variance)
+    rec = TrajectoryRecord(probes.variance)
     n_probes = max(int(round((t_end - f.t) / probes.cadence)), 1)
     stalled_tail_streak = 0
     v, t = f.values, f.t
@@ -306,7 +297,7 @@ def evolve(
         m = moments(u, w)
         if not i:
             rec.mass0, rec.energy0 = m.mass, m.energy
-        _probe(u, m, gs, rec, probes.variance)
+        rec.add_sample(t, **_probe(u, m, gs, rec))
         if _named(probes.snapshot_times, t):
             rec.snapshots.append(u.copy())
         if not i:
@@ -335,20 +326,8 @@ def evolve(
 
 def write_trajectory_csv(rec: TrajectoryRecord, path: str) -> None:
     """Write the probe table; the outcome goes to a JSON sidecar."""
-    cols = ["t", "grad_sq", "l6_6", "mass_drift", "energy_drift",
-            "momx", "momy", "G", "tail_fraction"]
-    if rec.variance_enabled:
-        cols.append("variance")
-    with atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for i in range(len(rec.times)):
-            row = [rec.times[i], rec.grad_sq[i], rec.l6_6[i],
-                   rec.mass_drift[i], rec.energy_drift[i],
-                   rec.momx[i], rec.momy[i], rec.G[i], rec.tail_fraction[i]]
-            if rec.variance_enabled:
-                row.append(rec.variance[i])
-            writer.writerow([repr(float(v)) for v in row])
+    write_float_csv(path, ("t",) + rec.columns,
+                    zip(rec.times, *(getattr(rec, c) for c in rec.columns)))
     sidecar = os.path.splitext(path)[0] + ".outcome.json"
     with atomic_open(sidecar) as fh:
         json.dump({"outcome": rec.outcome, "t": rec.outcome_t,

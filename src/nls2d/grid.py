@@ -9,6 +9,7 @@ dx^2 * sum, which is spectrally accurate for smooth periodic integrands.
 
 from __future__ import annotations
 
+import csv
 import os
 import struct
 from contextlib import contextmanager
@@ -163,6 +164,18 @@ def boundary_mass_fraction(f: Field) -> float:
     return float((total - inner) / total)
 
 
+def variance(f: Field) -> float:
+    """int |x|^2 |u|^2 over the box; meaningless once mass reaches the boundary."""
+    frac = boundary_mass_fraction(f)
+    if frac > 1e-10:
+        raise ValueError(
+            f"boundary mass fraction {frac:.2e} exceeds 1e-10; "
+            "variance is not meaningful on a wrapped field"
+        )
+    g = f.grid
+    return float(g.dx**2 * np.sum((g.X**2 + g.Y**2) * np.abs(f.values) ** 2))
+
+
 @contextmanager
 def atomic_open(path, mode: str = "w", **kwargs):
     """A temp file beside path that replaces it once written; a writer that
@@ -175,6 +188,16 @@ def atomic_open(path, mode: str = "w", **kwargs):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def write_float_csv(path, header, rows) -> None:
+    """Write a CSV table atomically, each cell the repr of a float, so a
+    parse gives back the bits of every value."""
+    with atomic_open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) for v in row])
 
 
 def write_checkpoint(f: Field, path) -> None:

@@ -204,6 +204,11 @@ def cmd_run(cfg: dict, out_dir: str) -> dict:
 # ---------------------------------------------------------------------------
 # sweeps
 
+# region_map.csv's columns; a row is a tuple of its cells in this order
+REGION_COLUMNS = ("lambda", "ME", "G0_sq", "verdict", "outcome",
+                  "t_star_or_decay")
+
+
 def _row_config(cfg: dict, lam: float) -> dict:
     row = json.loads(json.dumps(cfg))  # deep copy via JSON round-trip
     del row["sweep"]  # a row's config names its own lambda, not the others
@@ -228,7 +233,7 @@ def _finished_report(row_dir: str, key: str) -> dict | None:
         return None
 
 
-def _sweep_worker(payload: dict) -> tuple[int, dict]:
+def _sweep_worker(payload: dict) -> tuple[int, tuple]:
     """One sweep row in a worker process; never raises."""
     i = payload["index"]
     key_path = os.path.join(payload["out_dir"], "row.json")
@@ -243,14 +248,10 @@ def _sweep_worker(payload: dict) -> tuple[int, dict]:
             fh.write(payload["key"])
         return i, _row_from_report(payload["lam"], report)
     except Exception as exc:  # recorded per-row, sweep continues
-        return i, {
-            "lambda": payload["lam"], "ME": None, "G0_sq": None,
-            "verdict": "", "outcome": f"failed: {exc}",
-            "t_star_or_decay": None,
-        }
+        return i, (payload["lam"], None, None, "", f"failed: {exc}", None)
 
 
-def _row_from_report(lam: float, report: dict) -> dict:
+def _row_from_report(lam: float, report: dict) -> tuple:
     v = report["verdict"]
     if report["t_star"] is not None:
         extra = report["t_star"]
@@ -258,14 +259,8 @@ def _row_from_report(lam: float, report: dict) -> dict:
         extra = report["scattering"]["l6_decay_factor"]
     else:
         extra = None
-    return {
-        "lambda": float(lam),
-        "ME": v["ME"],
-        "G0_sq": v["G0"] ** 2,
-        "verdict": v["case"],
-        "outcome": report["outcome"]["outcome"],
-        "t_star_or_decay": extra,
-    }
+    return (float(lam), v["ME"], v["G0"] ** 2, v["case"],
+            report["outcome"]["outcome"], extra)
 
 
 def _csv_cell(value) -> str:
@@ -294,7 +289,7 @@ def cmd_sweep(cfg: dict, out_dir: str, workers: int | None = None) -> str:
 
     ss = np.random.SeedSequence(cfg["seed"])
     children = ss.spawn(len(lambdas))
-    rows: dict[int, dict] = {}
+    rows: dict[int, tuple] = {}
     pending = []
     for i, lam in enumerate(lambdas):
         row_cfg = _row_config(cfg, lam)
@@ -329,13 +324,9 @@ def cmd_sweep(cfg: dict, out_dir: str, workers: int | None = None) -> str:
     path = os.path.join(out_dir, "region_map.csv")
     with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["lambda", "ME", "G0_sq", "verdict", "outcome", "t_star_or_decay"])
+        writer.writerow(REGION_COLUMNS)
         for i in range(len(lambdas)):
-            r = rows[i]
-            writer.writerow([_csv_cell(r[k]) for k in (
-                "lambda", "ME", "G0_sq", "verdict", "outcome",
-                "t_star_or_decay")])
+            writer.writerow([_csv_cell(c) for c in rows[i]])
     print(f"region map {path} ({len(lambdas)} rows)")
     return path
 

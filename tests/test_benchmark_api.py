@@ -2,8 +2,8 @@
 
 `benchmark/` is collected on its own, so a refactor that deletes a name the
 benchmark's tracer wraps, or changes a constructor call, the
-`step_strang(f, dt)` call or the `evolve` call its workloads make, would
-otherwise break only benchmark runs.
+`step_strang(f, dt)` call, the `evolve` call or the `write_trajectory_csv`
+call its workloads make, would otherwise break only benchmark runs.
 """
 
 import os
@@ -34,13 +34,16 @@ assert abs(conserved(f).mass - 0.25 * 8.0**2) < 1e-12
 # the soliton workload's call: evolve, then the last kept snapshot
 rec = evolution.evolve(f, 0.03, controls, SimpleNamespace(qq_gq=1.0), probes)
 assert abs(rec.snapshots[-1].t - 0.03) < 1e-12
+evolution.write_trajectory_csv(rec, {csv!r})
 """
 
 
 def test_benchmark_tracer_installs(tmp_path):
     code = SCRIPT.format(src=os.path.join(ROOT, "src"),
                          bench=os.path.join(ROOT, "benchmark"),
-                         spool=str(tmp_path))
+                         spool=str(tmp_path),
+                         csv=str(tmp_path / "trajectory.csv"))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "trajectory.csv").read_text().startswith("t,grad_sq,")

@@ -122,10 +122,11 @@ def test_verdict_json_schema(gs_cert, grid_256, tmp_path):
 
 
 def _record(grid, outcome, grad_series):
-    rec = TrajectoryRecord(grid, variance_enabled=False)
+    rec = TrajectoryRecord()
     for i, g in enumerate(grad_series):
         rec.add_sample(t=0.1 * i, grad_sq=g, l6_6=1.0, mass_drift=0.0,
-                       energy_drift=0.0, momx=0.0, momy=0.0, G=0.5, tail=0.0)
+                       energy_drift=0.0, momx=0.0, momy=0.0, G=0.5,
+                       tail_fraction=0.0)
     rec.set_outcome(outcome, 0.1 * (len(grad_series) - 1))
     return rec
 

@@ -91,6 +91,8 @@ def test_explain_config_is_complete_and_parses():
         assert key in text
     for deleted in ("dt0", "shooting_tol"):
         assert deleted not in text
+    # L is the full side of the box, not a half-width
+    assert "half-width" not in text
     # the trailing block is the full default config as valid JSON
     marker = "Defaults as a complete config:"
     tail = text[text.index(marker) + len(marker):]

@@ -210,11 +210,11 @@ def test_radial_asymmetry(grid_128):
 # bounds along below-threshold trajectories
 
 def _fake_record(grid, G, grad, drifts, energy0):
-    rec = TrajectoryRecord(grid, variance_enabled=False)
+    rec = TrajectoryRecord()
     for i in range(len(G)):
         rec.add_sample(t=0.1 * i, grad_sq=grad[i], l6_6=1.0, mass_drift=0.0,
                        energy_drift=drifts[i], momx=0.0, momy=0.0,
-                       G=G[i], tail=0.0)
+                       G=G[i], tail_fraction=0.0)
     rec.mass0 = 1.0
     rec.energy0 = energy0
     return rec
@@ -280,7 +280,7 @@ def _free_flow_record(grid, t2, k_snaps):
     """Exactly linear trajectory: snapshots under the free flow."""
     f = gaussian(grid, 0.5, 1.0)
     fh = np.fft.fft2(f.values)
-    rec = TrajectoryRecord(grid, variance_enabled=False)
+    rec = TrajectoryRecord()
     m0 = moments(f)
     rec.mass0 = m0.mass
     rec.energy0 = m0.energy
@@ -289,7 +289,7 @@ def _free_flow_record(grid, t2, k_snaps):
         m = moments(u)
         rec.add_sample(t=float(t), grad_sq=m.grad_sq,
                        l6_6=m.l6_6, mass_drift=0.0, energy_drift=0.0,
-                       momx=0.0, momy=0.0, G=0.1, tail=0.0)
+                       momx=0.0, momy=0.0, G=0.1, tail_fraction=0.0)
         rec.snapshots.append(u)
     rec.set_outcome(RAN_TO_T_END, t2)
     return rec
@@ -318,9 +318,10 @@ def test_scattering_detect_guards(grid_128):
     sparse = _free_flow_record(grid_128, t2=2.0, k_snaps=2)
     with pytest.raises(ValueError, match="at least 3"):
         scattering_detect(sparse, (0.0, 2.0), sparse.snapshots)
-    unfinished = TrajectoryRecord(grid_128, variance_enabled=False)
+    unfinished = TrajectoryRecord()
     unfinished.add_sample(t=0.0, grad_sq=1.0, l6_6=1.0, mass_drift=0.0,
-                          energy_drift=0.0, momx=0.0, momy=0.0, G=0.1, tail=0.0)
+                          energy_drift=0.0, momx=0.0, momy=0.0, G=0.1,
+                          tail_fraction=0.0)
     unfinished.set_outcome("blowup_detected", 0.5)
     with pytest.raises(ValueError, match="completed"):
         scattering_detect(unfinished, (0.0, 0.0), [])

@@ -299,27 +299,34 @@ def test_evolve_flags_underresolved(gs_cert, grid_128):
     assert max(rec.grad_sq) < 25.0 * rec.grad_sq[0]
 
 
-def test_detect_blowup_needs_two_consecutive_samples(grid_128):
+def test_detect_blowup_needs_two_consecutive_samples():
     controls = StepControls()
-    rec = TrajectoryRecord(grid_128, variance_enabled=False)
+    rec = TrajectoryRecord()
     base = dict(l6_6=1.0, mass_drift=0.0, energy_drift=0.0,
                 momx=0.0, momy=0.0, G=1.0)
-    rec.add_sample(t=0.0, grad_sq=1.0, tail=0.0, **base)
-    rec.add_sample(t=0.1, grad_sq=30.0, tail=0.05, **base)
-    rec.add_sample(t=0.2, grad_sq=1.0, tail=0.0, **base)
+    rec.add_sample(t=0.0, grad_sq=1.0, tail_fraction=0.0, **base)
+    rec.add_sample(t=0.1, grad_sq=30.0, tail_fraction=0.05, **base)
+    rec.add_sample(t=0.2, grad_sq=1.0, tail_fraction=0.0, **base)
     assert detect_blowup(rec, controls) is None
-    rec.add_sample(t=0.3, grad_sq=30.0, tail=0.05, **base)
-    rec.add_sample(t=0.4, grad_sq=40.0, tail=0.06, **base)
+    rec.add_sample(t=0.3, grad_sq=30.0, tail_fraction=0.05, **base)
+    rec.add_sample(t=0.4, grad_sq=40.0, tail_fraction=0.06, **base)
     assert detect_blowup(rec, controls) == pytest.approx(0.3)
 
 
-def test_record_guards(grid_128):
-    rec = TrajectoryRecord(grid_128, variance_enabled=False)
+def test_record_guards():
+    rec = TrajectoryRecord()
     base = dict(grad_sq=1.0, l6_6=1.0, mass_drift=0.0, energy_drift=0.0,
-                momx=0.0, momy=0.0, G=1.0, tail=0.0)
+                momx=0.0, momy=0.0, G=1.0, tail_fraction=0.0)
     rec.add_sample(t=0.0, **base)
     with pytest.raises(ValueError, match="increasing"):
         rec.add_sample(t=0.0, **base)
+    # a sample names each of the record's columns, and no other
+    missing = {k: v for k, v in base.items() if k != "G"}
+    with pytest.raises(ValueError, match="columns"):
+        rec.add_sample(t=0.1, **missing)
+    with pytest.raises(ValueError, match="columns"):
+        rec.add_sample(t=0.1, variance=1.0, **base)
+    assert rec.times == [0.0] and rec.G == [1.0]
     rec.set_outcome(RAN_TO_T_END, 1.0)
     with pytest.raises(ValueError, match="already"):
         rec.set_outcome(RAN_TO_T_END, 2.0)
@@ -395,24 +402,32 @@ def test_evolve_commutes_with_grid_symmetries(gs_cert, grid_128):
         assert np.max(np.abs(np.subtract(rec.momy, momy))) < bound
 
 
-def test_trajectory_csv_round_trip(gs_cert, grid_128, tmp_path):
+@pytest.mark.parametrize("variance", [True, False],
+                         ids=["variance_on", "variance_off"])
+def test_trajectory_csv_round_trip(gs_cert, grid_128, tmp_path, variance):
     import csv
     import json
 
     f = gaussian(grid_128, 0.4, 1.2)
     rec = evolve(f, 0.1, StepControls(), gs_cert,
-                 ProbeSpec(cadence=0.05, variance=True))
+                 ProbeSpec(cadence=0.05, variance=variance))
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(rec, str(path))
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "grad_sq", "l6_6", "mass_drift", "energy_drift",
-                       "momx", "momy", "G", "tail_fraction", "variance"]
+    header = ["t", "grad_sq", "l6_6", "mass_drift", "energy_drift",
+              "momx", "momy", "G", "tail_fraction"]
+    assert rows[0] == header + ["variance"] * variance
+    assert hasattr(rec, "variance") == variance
     # repr round trip: parsed floats are bit-identical to the record
+    assert len(rows) == len(rec.times) + 1
     for row, i in zip(rows[1:], range(len(rec.times))):
         assert float(row[0]) == rec.times[i]
-        assert float(row[1]) == rec.grad_sq[i]
-        assert float(row[7]) == rec.G[i]
+        for name, cell in zip(header[1:], row[1:]):
+            assert float(cell) == getattr(rec, name)[i]
+        if variance:
+            assert float(row[9]) == rec.variance[i]
+            assert rec.variance[i] > 0.0
     sidecar = json.loads((tmp_path / "trajectory.outcome.json").read_text())
     assert sidecar["outcome"] == RAN_TO_T_END
     assert sidecar["mass0"] == rec.mass0

@@ -201,6 +201,30 @@ def test_sweep_resume_and_determinism(gs_cache, tmp_path):
     assert open(path1, "rb").read() == before
 
 
+def test_sweep_records_a_failed_row(gs_cache, tmp_path):
+    # at lambda = 0.05 the datum does not fit the box, so make_initial_data
+    # raises: the row keeps its lambda and the error, with empty numeric
+    # cells and verdict, and writes no row.json, so a rerun retries it
+    cfg = base_cfg(
+        gs_cache,
+        t_end=0.05,
+        probes={"cadence": 0.01},
+        sweep={"lambdas": [1.2, 0.05], "family": "perturbed_q", "eps": 1e-3},
+        seed=11,
+    )
+    path = cmd_sweep(cfg, str(tmp_path), workers=1)
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\r\n")
+    assert lines[0] == b"lambda,ME,G0_sq,verdict,outcome,t_star_or_decay"
+    assert lines[1].startswith(b"1.2,0.80") and b"failed" not in lines[1]
+    assert lines[2] == (
+        b"0.05,,,,failed: box L=32 too small for family 'perturbed_q': "
+        b"boundary level 3.54e-01 exceeds 1e-06,")
+    assert lines[3:] == [b""]
+    assert (tmp_path / "row_000" / "row.json").exists()
+    assert not (tmp_path / "row_001" / "row.json").exists()
+
+
 def test_cli_explain_config(capsys):
     assert main(["explain-config"]) == 0
     assert "Configuration keys" in capsys.readouterr().out
