@@ -151,7 +151,8 @@ def virial_check_full(snapshots: list[Field], R: float | None = None) -> VirialT
 
     Snapshots must be uniformly spaced in time (5 or more).  V'' by the
     formula is compared against centered second differences of V; the
-    localized column uses the compact cutoff at radius R (default L/4).
+    localized column uses the compact cutoff at radius R (default L/4).  V
+    and V' are NaN on a snapshot past variance's boundary-mass guard.
     Each snapshot costs one forward and two inverse FFTs.
     """
     if len(snapshots) < 5:
@@ -169,7 +170,11 @@ def virial_check_full(snapshots: list[Field], R: float | None = None) -> VirialT
         fh = fft.fft2(s.values)
         grad, vpp = spectral_gradient(s, fh), moments(s, fh).virial
         z, zp, _, ar = localized_variance(s, cutoff, grad, vpp)
-        rows.append((variance(s), variance_derivative(s, grad), vpp, z, zp, ar))
+        try:
+            v, vp = variance(s), variance_derivative(s, grad)
+        except ValueError:  # mass at the boundary
+            v = vp = np.nan
+        rows.append((v, vp, vpp, z, zp, ar))
     V, Vp, Vpp, z_R, zp_R, A_R = (np.array(col) for col in zip(*rows))
     Vpp_fd = np.full_like(V, np.nan)
     h = dt[0]

@@ -104,6 +104,47 @@ def test_petviashvili_uncertified_on_coarse_grid(shooting_profile):
     assert not gs.certified
 
 
+def test_petviashvili_seed_moves_the_iteration_count_not_the_answer(
+        grid_cert, gs_cert, shooting_profile, monkeypatch):
+    # a stand-in profile reaches the solve's seed: a positive Gaussian far
+    # from Q, which the certification against it then fails
+    import scipy.fft
+
+    class GaussianProfile:
+        def q_of(self, r):
+            return 2.2 * np.exp(-np.asarray(r) ** 2 / 2.0)
+
+    calls = []
+
+    def counted(*args, _fn=scipy.fft.rfft2, **kwargs):
+        calls.append(1)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "rfft2", counted)
+    gs = solve_petviashvili(grid_cert, tol=1e-10, profile=GaussianProfile())
+    cold = len(calls)
+    calls.clear()
+    solve_petviashvili(grid_cert, tol=1e-10, profile=shooting_profile)
+    # two forward transforms an iteration, plus one before the loop
+    assert len(calls) < cold / 2
+    assert np.max(np.abs(gs.field.values - gs_cert.field.values)) <= 1e-10
+
+
+def test_petviashvili_residual_on_the_full_spectrum(gs_cert, grid_cert):
+    # the loop stops on a half-spectrum residual; the full complex spectrum
+    # of the answer must meet the same equation
+    q = gs_cert.field.values.real
+    qh = np.fft.fft2(q)
+    res = np.linalg.norm(np.fft.fft2(q**5) - (1.0 + grid_cert.K2) * qh)
+    assert res / np.linalg.norm(qh) <= 1e-9
+
+
+def test_petviashvili_reports_no_convergence(shooting_profile):
+    with pytest.raises(CertificationError, match="no convergence"):
+        solve_petviashvili(SpectralGrid(64, 24.0), tol=1e-10, max_iter=5,
+                           profile=shooting_profile)
+
+
 def test_gn_slack_zero_at_ground_state(gs_cert):
     slack = gn_inequality_check(gs_cert.field, gs_cert)
     assert abs(slack) <= 1e-6 * gs_cert.l6Q_6

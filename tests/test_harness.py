@@ -94,7 +94,8 @@ def test_run_single_with_scattering(gs_cache, gs_cert, tmp_path):
     assert report["scattering"]["verdict"] == "scatter_like"
     assert report["agreement"] == "agree"
     # by t = 2 the dispersing hump touches the box boundary, so the virial
-    # trace is refused with an explanation instead of a bogus variance
+    # trace says so in its note instead of writing a bogus variance
+    assert (tmp_path / "virial.csv").exists()
     assert report["virial_note"] is not None
     assert "boundary" in report["virial_note"]
 
@@ -120,6 +121,38 @@ def test_run_single_with_virial(gs_cache, gs_cert, tmp_path):
     run_single(cfg, gs_cert, str(tmp_path / "both"), seed=0)
     assert (tmp_path / "both" / "virial.csv").read_bytes() == \
         (tmp_path / "virial.csv").read_bytes()
+
+
+def test_virial_table_survives_snapshots_past_the_boundary_guard(
+        gs_cache, gs_cert, tmp_path):
+    # the hump reaches the edge of the 16-box, so the variance guard trips
+    # on the later snapshots; the localized columns need no such guard
+    cfg = base_cfg(
+        gs_cache,
+        grid={"n": 128, "L": 16.0},
+        initial_data={"family": "gaussian",
+                      "params": {"amplitude": 0.8, "width": 1.45}},
+        t_end=3.0,
+        probes={"cadence": 0.05, "variance": True},
+        diagnostics={"scattering": False, "virial": True,
+                     "blowup_bound": False},
+    )
+    report = run_single(cfg, gs_cert, str(tmp_path), seed=0)
+    with open(tmp_path / "virial.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    V = np.array([float(r["V"]) for r in rows])
+    guarded = np.isnan(V)
+    assert 0 < guarded.sum() < len(rows)
+    # the same snapshots carry a NaN variance in trajectory.csv
+    with open(tmp_path / "trajectory.csv", newline="") as fh:
+        probe_var = {r["t"]: float(r["variance"]) for r in csv.DictReader(fh)}
+    assert list(guarded) == [np.isnan(probe_var[r["t"]]) for r in rows]
+    assert np.all(np.isnan([float(r["Vp_formula"]) for r in rows]) == guarded)
+    for col in ("Vpp_formula", "z_R", "A_R"):
+        assert np.all(np.isfinite([float(r[col]) for r in rows]))
+    assert report["virial_note"] == (
+        f"V and Vp_formula are NaN on {guarded.sum()} of {len(rows)} "
+        "snapshots: boundary mass fraction exceeds 1e-10")
 
 
 def test_scattering_verdict_ignores_the_virial_stride(gs_cache, gs_cert, tmp_path):
