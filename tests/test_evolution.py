@@ -23,6 +23,8 @@ from nls2d import (
     step_strang,
     write_trajectory_csv,
 )
+from nls2d import evolution
+from nls2d.evolution import PHASE_FLOOR
 
 
 def gaussian(grid, amp=1.0, width=1.0):
@@ -233,6 +235,70 @@ def test_overflow_is_blowup_after_one_step(gs_cert, grid_128, controls):
     assert rec.outcome == BLOWUP_DETECTED
     assert rec.outcome_t == 0.0
     assert rec.steps_taken == 1
+
+
+@pytest.mark.parametrize("scheme", ["strang", "kahan_li6"])
+def test_phase_is_the_full_grid_rotation(grid_128, monkeypatch, scheme):
+    # the phase runs cos and sin only on the shortest cyclic run of rows and
+    # of columns that holds every |theta| >= PHASE_FLOOR; a floor of -inf
+    # puts the whole grid in the box, which is the rotation of every point,
+    # whatever the sign of theta.  The two must give the same bits on a
+    # centred datum, on the same datum rolled across both seams, and on one
+    # spread over the box.  kahan_li6 has stages with gamma < 0, where theta
+    # < 0: a box test on theta, not |theta|, leaves them unrotated.
+    g, dt = grid_128, 1e-2
+    centred = 1.2 * np.exp(-(g.X**2 + g.Y**2) / 2.0) + 0j
+    wave = 2.0 * np.pi / g.L
+    spread = (0.6 * (1.0 + 0.5 * np.cos(wave * g.X) * np.cos(wave * g.Y))
+              * np.exp(1j * wave * (g.X + 2.0 * g.Y)))
+    # the centred box is under a quarter of the rows even at gamma = 1, and
+    # every point of the spread datum rotates even at the smallest |gamma|
+    assert np.sum(np.max(np.abs(centred), axis=1) ** 4 * dt >= PHASE_FLOOR) < g.n / 4
+    gamma_min = np.min(np.abs(evolution.SCHEMES[scheme]))
+    assert np.min(np.abs(spread)) ** 4 * gamma_min * dt >= PHASE_FLOOR
+    data = (centred, np.roll(centred, (g.n // 2, g.n // 2 + 5), axis=(0, 1)),
+            spread)
+
+    def finals():
+        return [evolve(Field(g, v), 4 * dt, fixed_dt(dt, scheme=scheme),
+                       SimpleNamespace(qq_gq=1.0),
+                       ProbeSpec(cadence=2 * dt, snapshot_times=(4 * dt,))
+                       ).snapshots[-1].values for v in data]
+
+    boxed = finals()
+    monkeypatch.setattr(evolution, "PHASE_FLOOR", -np.inf)
+    for got, want in zip(boxed, finals()):
+        assert np.array_equal(got, want)
+
+
+def test_phase_box_is_the_shortest_cyclic_run():
+    # the rows (or columns) the phase rotates: the complement of the widest
+    # cyclic gap between hot indices, as plain slices
+    hot = np.zeros(16, dtype=bool)
+    assert evolution._support(hot) == []
+    hot[[3, 9]] = True
+    assert evolution._support(hot) == [slice(3, 10)]
+    hot[[1, 14]] = True  # the widest gap is now 3..9, so the run wraps
+    assert evolution._support(hot) == [slice(9, None), slice(0, 4)]
+    assert evolution._support(np.ones(16, dtype=bool)) == [slice(None)]
+
+
+def test_phase_floor_premise():
+    # below PHASE_FLOOR the rounded cos is 1 and the rounded sin is its
+    # argument, so the stepper may write (1, theta) there without calling
+    # either; written, as the stepper writes them, through the strided real
+    # and imaginary views of a complex buffer
+    x = np.concatenate([
+        np.linspace(0.0, PHASE_FLOOR, 2**16, endpoint=False),
+        np.geomspace(5e-324, PHASE_FLOOR, 2**12, endpoint=False),
+        [np.nextafter(PHASE_FLOOR, 0.0)],
+    ])
+    x = np.concatenate([x, -x]).reshape(2, -1)
+    buf = np.empty(x.shape, dtype=np.complex128)
+    np.cos(x, out=buf.real)
+    np.sin(x, out=buf.imag)
+    assert np.all(buf.real == 1.0)
+    assert np.array_equal(buf.imag, x)
 
 
 def test_kahan_li6_is_sixth_order(gs_cert, grid_128):

@@ -118,6 +118,33 @@ def test_spectral_gradient_matches_analytic():
     assert np.max(np.abs(uy - exact_y)) < 1e-11
 
 
+def test_moments_match_a_dense_reference():
+    # moments sums the spectrum on its axes and squares with no sqrt; the
+    # reference weighs every mode by the dense K2 and takes abs powers.  The
+    # datum moves off centre and carries a weak mode past 2/3 Nyquist, so no
+    # compared value is at roundoff itself
+    g = SpectralGrid(128, 32.0)
+    vals = (0.9 * np.exp(-((g.X - 1.5) ** 2 / 2.9 + (g.Y + 0.75) ** 2 / 1.3)
+                         + 1j * (0.5 * g.X - 0.25 * g.Y))
+            + 0.01 * np.exp(-(g.X**2 + g.Y**2) / 4.0 + 9.5j * g.X))
+    fh = np.fft.fft2(vals)
+    fh2 = np.abs(fh) ** 2
+    a = np.abs(vals)
+    w = g.dx**2 / g.n**2
+    want = dict(
+        mass=g.dx**2 * np.sum(a**2),
+        grad_sq=w * np.sum(g.K2 * fh2),
+        l6_6=g.dx**2 * np.sum(a**6),
+        px=w * np.imag(np.sum(np.conj(fh) * (g.ikx * fh))),
+        py=w * np.imag(np.sum(np.conj(fh) * (g.iky * fh))),
+        tail=np.sum(fh2[g.tail_mask]) / np.sum(fh2),
+    )
+    assert want["tail"] > 1e-6
+    m = moments(Field(g, vals))
+    for name, value in want.items():
+        assert getattr(m, name) == pytest.approx(value, rel=1e-13, abs=0.0), name
+
+
 def test_tail_fraction_extremes():
     g = SpectralGrid(64, 16.0)
     smooth = gaussian(g)
