@@ -76,6 +76,9 @@ class Cutoff:
             0.0,
             d4 + 2.0 * d3 / rho_safe - d2 / rho_safe**2 + d1 / rho_safe**3,
         )
+        # radial unit vector, safe at the origin, where the weights vanish
+        r_safe = np.where(grid.R == 0.0, 1.0, grid.R)
+        self.cx, self.cy = grid.X / r_safe, grid.Y / r_safe
 
 
 # ---------------------------------------------------------------------------
@@ -107,28 +110,23 @@ def localized_variance(f: Field, cutoff: Cutoff, grad=None, virial=None):
     if cutoff.grid is not g and cutoff.grid != g:
         raise ValueError("cutoff was sampled on a different grid")
     dx2 = g.dx**2
-    a2 = np.abs(f.values) ** 2
+    a2 = abs2(f.values)
     z = float(dx2 * np.sum(cutoff.w * a2))
 
     if grad is None or virial is None:
         fh = fft.fft2(f.values)
         grad, virial = spectral_gradient(f, fh), moments(f, fh).virial
     ux, uy = grad
-    # radial and tangential derivative components (safe at the origin,
-    # where the weights carry the vanishing factors)
-    r_safe = np.where(g.R == 0.0, 1.0, g.R)
-    cx, cy = g.X / r_safe, g.Y / r_safe
-    du_r = cx * ux + cy * uy
-    du_tau = -cy * ux + cx * uy
+    du_r = cutoff.cx * ux + cutoff.cy * uy  # radial and tangential parts
+    du_tau = -cutoff.cy * ux + cutoff.cx * uy
     zp = float(
         2.0 * dx2 * np.imag(np.sum(cutoff.R * cutoff.wp * du_r * np.conj(f.values)))
     )
-    a6 = np.abs(f.values) ** 6
     zpp = float(
-        4.0 * dx2 * np.sum(cutoff.wpp * np.abs(du_r) ** 2
-                           + cutoff.wp_over_rho * np.abs(du_tau) ** 2)
+        4.0 * dx2 * np.sum(cutoff.wpp * abs2(du_r)
+                           + cutoff.wp_over_rho * abs2(du_tau))
         - dx2 / cutoff.R**2 * np.sum(cutoff.bilap * a2)
-        - (4.0 / 3.0) * dx2 * np.sum(cutoff.lap * a6)
+        - (4.0 / 3.0) * dx2 * np.sum(cutoff.lap * (a2 * a2 * a2))
     )
     A_R = zpp - virial
     return z, zp, zpp, A_R

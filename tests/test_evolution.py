@@ -245,7 +245,10 @@ def test_phase_is_the_full_grid_rotation(grid_128, monkeypatch, scheme):
     # whatever the sign of theta.  The two must give the same bits on a
     # centred datum, on the same datum rolled across both seams, and on one
     # spread over the box.  kahan_li6 has stages with gamma < 0, where theta
-    # < 0: a box test on theta, not |theta|, leaves them unrotated.
+    # < 0: a box test on theta, not |theta|, leaves them unrotated.  The
+    # phase takes one box per block of BLOCK_ROWS rows, so the data also
+    # put the hot rows across an interior block edge, and across both seams
+    # of a grid smaller than one block.
     g, dt = grid_128, 1e-2
     centred = 1.2 * np.exp(-(g.X**2 + g.Y**2) / 2.0) + 0j
     wave = 2.0 * np.pi / g.L
@@ -256,19 +259,78 @@ def test_phase_is_the_full_grid_rotation(grid_128, monkeypatch, scheme):
     assert np.sum(np.max(np.abs(centred), axis=1) ** 4 * dt >= PHASE_FLOOR) < g.n / 4
     gamma_min = np.min(np.abs(evolution.SCHEMES[scheme]))
     assert np.min(np.abs(spread)) ** 4 * gamma_min * dt >= PHASE_FLOOR
-    data = (centred, np.roll(centred, (g.n // 2, g.n // 2 + 5), axis=(0, 1)),
-            spread)
+    edge = evolution.BLOCK_ROWS - g.n // 2  # centres the hump on a block edge
+    small = SpectralGrid(16, 8.0)
+    assert small.n < evolution.BLOCK_ROWS < g.n
+    data = ((g, centred), (g, np.roll(centred, (g.n // 2, g.n // 2 + 5), axis=(0, 1))),
+            (g, np.roll(centred, (edge, g.n // 2 + 5), axis=(0, 1))), (g, spread),
+            (small, np.roll(1.2 * np.exp(-(small.X**2 + small.Y**2) / 2.0) + 0j,
+                            (small.n // 2, small.n // 2 + 3), axis=(0, 1))))
 
     def finals():
-        return [evolve(Field(g, v), 4 * dt, fixed_dt(dt, scheme=scheme),
+        return [evolve(Field(grid, v), 4 * dt, fixed_dt(dt, scheme=scheme),
                        SimpleNamespace(qq_gq=1.0),
                        ProbeSpec(cadence=2 * dt, snapshot_times=(4 * dt,))
-                       ).snapshots[-1].values for v in data]
+                       ).snapshots[-1].values for grid, v in data]
 
     boxed = finals()
     monkeypatch.setattr(evolution, "PHASE_FLOOR", -np.inf)
     for got, want in zip(boxed, finals()):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [16, 48, 128])
+def test_phase_stage_is_the_dense_rotation(n):
+    # one phase stage against cos and sin of theta on every point, on a
+    # field smaller than one block, one whose last block is partial, and
+    # one of whole blocks; theta < 0 is a kahan_li6 stage with gamma < 0
+    x = 0.25 * (np.arange(n) - n // 2)
+    X, Y = x[:, None], x[None, :]
+    u = 1.3 * np.exp(-((X - 1.0) ** 2 + Y**2) / 2.0 + 0.5j * Y)
+    rows = min(evolution.BLOCK_ROWS, n)
+    buffers = (np.empty((rows, n)), np.empty((rows, n)),
+               np.empty((rows, n), dtype=np.complex128))
+    for gdt in (1e-2, -7e-3):
+        s = np.square(u.real) + np.square(u.imag)
+        theta = s * gdt * s
+        rot = np.empty_like(u)
+        np.cos(theta, out=rot.real)
+        np.sin(theta, out=rot.imag)
+        want = u * rot
+        peak = evolution._phase(u, gdt, *buffers)
+        assert np.array_equal(u, want)
+        assert peak == np.max(s)
+
+
+def test_sum_bound_skip_never_changes_a_step(grid_128, monkeypatch):
+    # the amplitude-2 hump of test_fused_dt_rule_is_the_seeds crosses the
+    # bound: once the last stage's max |u|^4 is past cfl_c / dt_max, the
+    # stepper skips the spectral sum it knows must fail.  A slack of 1
+    # turns the skip off; the run must then sum where it skipped and still
+    # take the same steps to the same bits.
+    summed = []
+
+    def counted(w, _bound=evolution._sum_bound4):
+        summed.append(1)
+        return _bound(w)
+
+    monkeypatch.setattr(evolution, "_sum_bound4", counted)
+
+    def run():
+        summed.clear()
+        rec = evolve(gaussian(grid_128, 2.0, 1.0), 0.1, StepControls(dt_max=2e-3),
+                     SimpleNamespace(qq_gq=1.0),
+                     ProbeSpec(cadence=0.05, snapshot_times=(0.1,)))
+        return rec, len(summed)
+
+    skipping, sums = run()
+    monkeypatch.setattr(evolution, "BOUND_SLACK", 1.0)
+    full, sums_without_skip = run()
+    assert sums_without_skip - sums >= 20
+    assert skipping.steps_taken == full.steps_taken
+    assert skipping.times == full.times
+    assert skipping.outcome_t == full.outcome_t
+    assert np.array_equal(skipping.snapshots[-1].values, full.snapshots[-1].values)
 
 
 def test_phase_box_is_the_shortest_cyclic_run():
