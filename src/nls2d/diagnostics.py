@@ -63,7 +63,7 @@ class Cutoff:
         rho = grid.R / self.R
         val, d1, d2, d3, d4 = _phi_derivs(rho)
         self.w = self.R**2 * val            # W(x)
-        self.wp = d1                        # phi'(rho)
+        self.rwp = self.R * d1              # R phi'(rho), z'_R's weight
         self.wpp = d2                       # phi''(rho)
         # ratio phi'(rho)/rho and the radial (bi)laplacians, with the exact
         # interior constants substituted where rho -> 0 would divide by zero
@@ -93,6 +93,11 @@ def variance_derivative(f: Field, grad=None) -> float:
     return float(4.0 * g.dx**2 * np.imag(np.sum(integrand)))
 
 
+def _wsum(*factors):
+    """Grid sum of a product, by einsum: no temporary and no BLAS threads."""
+    return np.einsum(",".join("ij" for _ in factors) + "->", *factors)
+
+
 def localized_variance(f: Field, cutoff: Cutoff, grad=None, virial=None):
     """Localized variance z_R and its first two exact time derivatives.
 
@@ -110,23 +115,26 @@ def localized_variance(f: Field, cutoff: Cutoff, grad=None, virial=None):
     if cutoff.grid is not g and cutoff.grid != g:
         raise ValueError("cutoff was sampled on a different grid")
     dx2 = g.dx**2
-    a2 = abs2(f.values)
-    z = float(dx2 * np.sum(cutoff.w * a2))
+    u = f.values
+    a2 = abs2(u)
+    z = float(dx2 * _wsum(cutoff.w, a2))
 
     if grad is None or virial is None:
-        fh = fft.fft2(f.values)
+        fh = fft.fft2(u)
         grad, virial = spectral_gradient(f, fh), moments(f, fh).virial
     ux, uy = grad
-    du_r = cutoff.cx * ux + cutoff.cy * uy  # radial and tangential parts
-    du_tau = -cutoff.cy * ux + cutoff.cx * uy
-    zp = float(
-        2.0 * dx2 * np.imag(np.sum(cutoff.R * cutoff.wp * du_r * np.conj(f.values)))
-    )
+    du_r = cutoff.cx * ux  # radial and tangential parts
+    du_r += cutoff.cy * uy
+    du_tau = cutoff.cx * uy
+    du_tau -= cutoff.cy * ux
+    zp = float(2.0 * dx2 * _wsum(cutoff.rwp, np.conj(u), du_r).imag)
     zpp = float(
-        4.0 * dx2 * np.sum(cutoff.wpp * abs2(du_r)
-                           + cutoff.wp_over_rho * abs2(du_tau))
-        - dx2 / cutoff.R**2 * np.sum(cutoff.bilap * a2)
-        - (4.0 / 3.0) * dx2 * np.sum(cutoff.lap * (a2 * a2 * a2))
+        4.0 * dx2 * (_wsum(cutoff.wpp, du_r.real, du_r.real)
+                     + _wsum(cutoff.wpp, du_r.imag, du_r.imag)
+                     + _wsum(cutoff.wp_over_rho, du_tau.real, du_tau.real)
+                     + _wsum(cutoff.wp_over_rho, du_tau.imag, du_tau.imag))
+        - dx2 / cutoff.R**2 * _wsum(cutoff.bilap, a2)
+        - (4.0 / 3.0) * dx2 * _wsum(cutoff.lap, a2 * a2, a2)
     )
     A_R = zpp - virial
     return z, zp, zpp, A_R

@@ -22,9 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft
-from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import CubicSpline
-from scipy.special import k0, k1
 
 from .grid import (
     Field,
@@ -47,10 +44,12 @@ class CertificationError(RuntimeError):
 _R_ORIGIN = 1e-8
 _TAIL_THRESHOLD = 1e-6   # switch to the K0 asymptotic once Q drops below this
 _R_MAX = 40.0
+_Q_CHUNK = 1 << 15    # radii per q_of pass
 
 
 def _radial_rhs(r, y):
-    q, p = y
+    # Python floats: the same IEEE operations as numpy scalars, but cheaper
+    q, p = y.tolist()
     return [p, -p / r + q - q**5]
 
 
@@ -67,6 +66,8 @@ def _classify_shot(a: float, rmax: float = 18.0) -> str:
     toward the false vacuum at Q = 1 without ever crossing zero; above it
     the trajectory overshoots and crosses.
     """
+    from scipy.integrate import solve_ivp
+
     q0, p0 = _series_start(a)
     hit_zero = lambda r, y: y[0]
     hit_zero.terminal = True
@@ -83,32 +84,45 @@ def _classify_shot(a: float, rmax: float = 18.0) -> str:
 
 @dataclass
 class RadialProfile:
-    """Tabulated radial ground state with its far-field graft parameters."""
+    """Radial ground state as a cubic spline in scipy's PPoly layout (m + 1
+    breakpoints x, (4, m) coefficients c), with its far-field graft."""
 
-    r: np.ndarray
-    q: np.ndarray
+    x: np.ndarray
+    c: np.ndarray
     q0: float          # Q(0), the bisected shooting amplitude
     c_tail: float      # Q(r) ~ c_tail * K0(r) beyond r_switch
     r_switch: float
-    r_max: float
 
-    def __post_init__(self):
-        # clamped-end spline: Q'(0) = 0, far end follows the K0 slope
-        end_slope = float(-self.c_tail * k1(self.r_max))
-        self._spline = CubicSpline(
-            self.r, self.q, bc_type=((1, 0.0), (1, end_slope))
-        )
+    @property
+    def r_max(self) -> float:
+        return float(self.x[-1])
 
     def q_of(self, r) -> np.ndarray:
         """Evaluate Q at arbitrary radii (zero beyond the tabulated range)."""
         r = np.asarray(r, dtype=float)
-        vals = self._spline(np.clip(r, 0.0, self.r_max))
-        return np.where(r > self.r_max, 0.0, vals)
+        out = np.empty(r.shape)
+        flat, dest = r.reshape(-1), out.reshape(-1)
+        # in chunks, so the temporaries stay small beside a 512^2 grid
+        for a in range(0, flat.size, _Q_CHUNK):
+            rc = np.clip(flat[a:a + _Q_CHUNK], 0.0, self.r_max)
+            i = np.clip(np.searchsorted(self.x, rc, "right") - 1,
+                        0, self.c.shape[1] - 1)
+            s = rc - self.x[i]
+            c0, c1, c2, c3 = np.take(self.c, i, axis=1)
+            # PPoly's power-sum order, not Horner's, so the bits are scipy's
+            v = (0.0 + c3) + c2 * s
+            z = s * s
+            v = v + c1 * z
+            dest[a:a + _Q_CHUNK] = v + c0 * (z * s)
+        out[r > self.r_max] = 0.0
+        return out
 
     def mass(self) -> float:
         """2 pi int Q^2 r dr by adaptive quadrature on the profile."""
+        from scipy.integrate import quad
+
         val, _ = quad(
-            lambda rr: 2.0 * np.pi * rr * float(self._spline(rr)) ** 2,
+            lambda rr: 2.0 * np.pi * rr * float(self.q_of(rr)) ** 2,
             0.0, self.r_max, points=[self.r_switch], limit=400,
             epsabs=1e-13, epsrel=1e-13,
         )
@@ -116,7 +130,12 @@ class RadialProfile:
 
 
 def _integrate_profile(a_star: float) -> RadialProfile:
-    """Integrate the converged shot outward and graft the K0 tail."""
+    """Integrate the converged shot outward, graft the K0 tail and fit the
+    clamped spline: Q'(0) = 0, and the far end follows the K0 slope."""
+    from scipy.integrate import solve_ivp
+    from scipy.interpolate import CubicSpline
+    from scipy.special import k0, k1
+
     q0, p0 = _series_start(a_star)
     small = lambda r, y: y[0] - _TAIL_THRESHOLD
     small.terminal = True
@@ -138,11 +157,12 @@ def _integrate_profile(a_star: float) -> RadialProfile:
     q_core[1:] = sol.sol(r_core[1:])[0]
     r_tail = np.concatenate([np.arange(r_switch, _R_MAX, 1e-2), [_R_MAX]])
     q_tail = c_tail * k0(r_tail)
-    return RadialProfile(
-        r=np.concatenate([r_core, r_tail]),
-        q=np.concatenate([q_core, q_tail]),
-        q0=a_star, c_tail=c_tail, r_switch=r_switch, r_max=_R_MAX,
-    )
+    end_slope = float(-c_tail * k1(_R_MAX))
+    spline = CubicSpline(np.concatenate([r_core, r_tail]),
+                         np.concatenate([q_core, q_tail]),
+                         bc_type=((1, 0.0), (1, end_slope)))
+    return RadialProfile(x=spline.x, c=spline.c, q0=a_star, c_tail=c_tail,
+                         r_switch=r_switch)
 
 
 def solve_radial_shooting() -> RadialProfile:
@@ -373,10 +393,15 @@ def make_initial_data(
 
 
 def save_ground_state(gs: GroundState, path: str) -> None:
-    """Write the cache: field checkpoint plus a JSON sidecar at <path>.json."""
+    """Write the cache: field checkpoint, the profile's spline table at
+    <path>.profile, and a JSON sidecar with both hashes at <path>.json."""
     write_checkpoint(gs.field, path)
     with open(path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
+    p = gs.radial_profile
+    table = np.concatenate([p.x, p.c.ravel()]).astype("<f8").tobytes()
+    with atomic_open(path + ".profile", "wb") as fh:
+        fh.write(table)
     sidecar = {
         "massQ": gs.massQ,
         "gradQ_sq": gs.gradQ_sq,
@@ -389,36 +414,50 @@ def save_ground_state(gs: GroundState, path: str) -> None:
         "n": gs.field.grid.n,
         "L": gs.field.grid.L,
         "checksum": digest,
+        "profile_checksum": hashlib.sha256(table).hexdigest(),
         "sup_err_vs_oracle": gs.sup_err_vs_oracle,
         "s_final": gs.s_final,
         "shooting": {
-            "q0": gs.radial_profile.q0,
-            "c_tail": gs.radial_profile.c_tail,
-            "r_switch": gs.radial_profile.r_switch,
+            "q0": p.q0,
+            "c_tail": p.c_tail,
+            "r_switch": p.r_switch,
         },
     }
     with atomic_open(path + ".json") as fh:
         json.dump(sidecar, fh, indent=2)
 
 
-def load_ground_state(path: str, grid: SpectralGrid | None = None) -> GroundState:
-    """Load a cached ground state, verifying the sidecar checksum.
+def _read_verified(path: str, digest: str | None, what: str) -> bytes:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if hashlib.sha256(raw).hexdigest() != digest:
+        raise CertificationError(f"cache hash mismatch: {what} does not match sidecar")
+    return raw
 
-    The radial profile is rebuilt deterministically from the stored shooting
-    amplitude (no bisection), and all norms are recomputed from the loaded
-    field so a fresh solve and a reload agree bit for bit.
+
+def load_ground_state(path: str, grid: SpectralGrid | None = None) -> GroundState:
+    """Load a cached ground state, verifying both hashes in the sidecar.
+
+    The radial profile is the stored spline, read back bit for bit, so no
+    ODE is solved.  All norms are recomputed from the loaded field and
+    certified against that profile again, so a fresh solve and a reload
+    agree bit for bit.
     """
     sidecar_path = path + ".json"
     if not os.path.exists(sidecar_path):
         raise CertificationError(f"missing cache sidecar {sidecar_path}")
     with open(sidecar_path) as fh:
         sidecar = json.load(fh)
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    if digest != sidecar.get("checksum"):
-        raise CertificationError("cache hash mismatch: checkpoint does not match sidecar")
+    _read_verified(path, sidecar.get("checksum"), "checkpoint")
+    if not os.path.exists(path + ".profile"):
+        raise CertificationError(f"cache {path} has no profile table; "
+                                 "rebuild it with `nls2d ground`")
+    table = np.frombuffer(_read_verified(path + ".profile", sidecar.get(
+        "profile_checksum"), "profile table"), dtype="<f8")
+    m = (table.size - 1) // 5
+    profile = RadialProfile(table[: m + 1], table[m + 1:].reshape(4, m), *(
+        float(sidecar["shooting"][k]) for k in ("q0", "c_tail", "r_switch")))
     f = read_checkpoint(path, grid)
-    profile = _integrate_profile(float(sidecar["shooting"]["q0"]))
     return _certify(f, profile, str(sidecar.get("method", "cache")),
                     float(sidecar.get("tol", np.nan)),
                     float(sidecar.get("s_final", np.nan)))

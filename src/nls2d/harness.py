@@ -8,10 +8,11 @@ bit-identical for identical config + seed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 
 import numpy as np
 from scipy import fft
@@ -238,13 +239,16 @@ def _finished_report(row_dir: str, key: str) -> dict | None:
 
 
 def _sweep_worker(payload: dict) -> tuple[int, tuple]:
-    """One sweep row in a worker process; never raises."""
+    """One sweep row in a worker process; never raises.  A failed row
+    leaves its traceback in error.txt in the row directory."""
     i = payload["index"]
     key_path = os.path.join(payload["out_dir"], "row.json")
+    error_path = os.path.join(payload["out_dir"], "error.txt")
     try:
         # row.json follows the report, so a half-replaced row never resumes
-        if os.path.exists(key_path):
-            os.remove(key_path)
+        for stale in (key_path, error_path):
+            if os.path.exists(stale):
+                os.remove(stale)
         gs = load_ground_state(payload["cache"])
         report = run_single(payload["cfg"], gs, payload["out_dir"],
                             payload["seed"])
@@ -252,6 +256,10 @@ def _sweep_worker(payload: dict) -> tuple[int, tuple]:
             fh.write(payload["key"])
         return i, _row_from_report(payload["lam"], report)
     except Exception as exc:  # recorded per-row, sweep continues
+        with contextlib.suppress(OSError):
+            _ensure_dir(payload["out_dir"])
+            with atomic_open(error_path) as fh:
+                fh.write(traceback.format_exc())
         return i, (payload["lam"], None, None, "", f"failed: {exc}", None)
 
 
@@ -317,6 +325,8 @@ def cmd_sweep(cfg: dict, out_dir: str, workers: int | None = None) -> str:
         n_workers = workers or cfg["workers"] or os.cpu_count() or 1
         n_workers = min(n_workers, len(pending))
         if n_workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=n_workers) as pool:
                 for i, row in pool.map(_sweep_worker, pending):
                     rows[i] = row

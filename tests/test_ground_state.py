@@ -14,9 +14,13 @@ tolerance 1e-13 and pinned here as a regression guard):
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.interpolate import PPoly
 from scipy.special import k0 as bessel_k0
 
 from nls2d import (
@@ -52,7 +56,7 @@ def test_shooting_profile_mass(shooting_profile):
 def test_shooting_profile_solves_the_ode(shooting_profile):
     # independent residual check through the spline's own second derivative;
     # limited by cubic-spline differentiation error, not by the integrator
-    s = shooting_profile._spline
+    s = PPoly(shooting_profile.c, shooting_profile.x)
     r = np.linspace(0.3, 10.0, 500)
     q, q1, q2 = s(r), s(r, 1), s(r, 2)
     assert np.max(np.abs(q2 + q1 / r - q + q**5)) < 1e-4
@@ -63,13 +67,29 @@ def test_shooting_profile_shape(shooting_profile):
     assert s_monotone_decay(p)
     assert p.q_of(0.0) == pytest.approx(p.q0, rel=1e-12)
     # even profile: zero slope at the origin
-    assert p._spline(0.0, 1) == 0.0
+    assert PPoly(p.c, p.x)(0.0, 1) == 0.0
     # grafted far field follows the modified Bessel decay
     rt = np.linspace(p.r_switch + 0.5, 15.0, 40)
     ratio = p.q_of(rt) / bessel_k0(rt)
     assert np.max(np.abs(ratio - p.c_tail)) < 1e-9
     assert abs(p.q_of(p.r_max)) < 1e-10
     assert p.q_of(p.r_max + 1.0) == 0.0
+
+
+def test_q_of_is_scipys_spline_bit_for_bit(shooting_profile):
+    p = shooting_profile
+    spline = PPoly(p.c, p.x)
+    for n, L in ((512, 48.0), (512, 64.0)):
+        R = SpectralGrid(n, L).R
+        for lam in (1.0, 0.8, 0.7913, 1.2, 1.3):
+            r = np.clip(lam * R, 0.0, p.r_max)
+            assert np.array_equal(p.q_of(r), spline(r))
+    assert np.array_equal(p.q_of(p.x), spline(p.x))
+    assert p.q_of(p.r_max) == spline(p.r_max)
+    assert p.q_of(1.2345) == spline(1.2345)
+    assert p.q_of(1.2345).shape == ()
+    beyond = p.r_max + np.array([1e-12, 1.0, 100.0])
+    assert np.array_equal(p.q_of(beyond), np.zeros(3))
 
 
 def s_monotone_decay(p) -> bool:
@@ -224,6 +244,68 @@ def test_cache_round_trip(gs_cert, tmp_path):
     assert back.radial_profile.q0 == gs_cert.radial_profile.q0
 
 
+def test_cache_round_trips_the_profile_spline(gs_cert, shooting_profile, tmp_path):
+    path = str(tmp_path / "gs.nls2")
+    save_ground_state(gs_cert, path)
+    back = load_ground_state(path).radial_profile
+    assert np.array_equal(back.x, shooting_profile.x)
+    assert np.array_equal(back.c, shooting_profile.c)
+    assert (back.q0, back.c_tail, back.r_switch) == (
+        shooting_profile.q0, shooting_profile.c_tail, shooting_profile.r_switch)
+    r = np.linspace(0.0, 45.0, 10001)
+    assert np.array_equal(back.q_of(r), shooting_profile.q_of(r))
+
+
+def test_cache_rejects_a_tampered_profile_table(gs_cert, tmp_path):
+    path = str(tmp_path / "gs.nls2")
+    save_ground_state(gs_cert, path)
+    raw = bytearray(open(path + ".profile", "rb").read())
+    raw[len(raw) // 2] ^= 0x01
+    with open(path + ".profile", "wb") as fh:
+        fh.write(bytes(raw))
+    with pytest.raises(CertificationError, match="hash mismatch"):
+        load_ground_state(path)
+
+
+def test_cache_without_a_profile_table_asks_for_a_rebuild(gs_cert, tmp_path):
+    path = str(tmp_path / "gs.nls2")
+    save_ground_state(gs_cert, path)
+    os.remove(path + ".profile")
+    with pytest.raises(CertificationError, match="nls2d ground"):
+        load_ground_state(path)
+
+
+# what a run does, in a fresh interpreter: the cache load and the data
+# families must not pull in the ODE and spline stack of the set-up path
+IMPORT_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+import numpy, scipy.fft
+before = set(sys.modules)
+from nls2d import cli
+from nls2d.grid import SpectralGrid
+from nls2d.ground_state import load_ground_state, make_initial_data
+gs = load_ground_state({cache!r})
+grid = SpectralGrid(256, 32.0)
+make_initial_data("scaled_q", {{"lam": 1.2}}, grid, gs=gs)
+make_initial_data("perturbed_q", {{"lam": 1.2, "eps": 1e-3}}, grid, gs=gs, seed=5)
+heavy = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
+         "scipy.linalg", "concurrent.futures")
+print(sorted(m for m in heavy if m in sys.modules and m not in before))
+"""
+
+
+def test_a_run_loads_q_without_the_ode_stack(gs_cache):
+    # scipy.fft itself may load some of these (numpy.testing brings in
+    # concurrent.futures); only what the package adds on top counts
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    code = IMPORT_SCRIPT.format(src=os.path.abspath(src), cache=gs_cache)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cache_loads_a_sidecar_with_a_shooting_tol(gs_cert, tmp_path):
     # an older sidecar carries "tol" under "shooting", which nothing reads;
     # it must load and certify as a fresh solve does
@@ -256,8 +338,6 @@ def test_cache_rejects_tampering(gs_cert, tmp_path):
 def test_cache_requires_sidecar(gs_cert, tmp_path):
     path = str(tmp_path / "gs.nls2")
     save_ground_state(gs_cert, path)
-    import os
-
     os.remove(path + ".json")
     with pytest.raises(CertificationError, match="sidecar"):
         load_ground_state(path)

@@ -256,6 +256,12 @@ def test_sweep_records_a_failed_row(gs_cache, tmp_path):
     assert lines[3:] == [b""]
     assert (tmp_path / "row_000" / "row.json").exists()
     assert not (tmp_path / "row_001" / "row.json").exists()
+    # the failed row keeps its full traceback; the good row has none
+    error = (tmp_path / "row_001" / "error.txt").read_text()
+    assert error.startswith("Traceback (most recent call last):")
+    assert "ValueError: box L=32 too small" in error
+    assert "make_initial_data" in error
+    assert not (tmp_path / "row_000" / "error.txt").exists()
 
 
 def test_cli_explain_config(capsys):
