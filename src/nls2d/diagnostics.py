@@ -48,6 +48,10 @@ def _phi_derivs(rho: np.ndarray):
     return val, d1, d2, d3, d4
 
 
+def _cutoff_radius(R: float | None, grid) -> float:
+    return grid.L / 4.0 if R is None else R  # the default radius is L/4
+
+
 class Cutoff:
     """Compact radial cutoff sampled (with its radial derivatives) on a grid.
 
@@ -168,9 +172,7 @@ def virial_check_full(snapshots: list[Field], R: float | None = None) -> VirialT
     if np.max(np.abs(dt - dt[0])) > 1e-9 * max(dt[0], 1e-30):
         raise ValueError("snapshots are not uniformly spaced")
     g = snapshots[0].grid
-    if R is None:
-        R = g.L / 4.0
-    cutoff = Cutoff(R, g)
+    cutoff = Cutoff(_cutoff_radius(R, g), g)
     rows = []
     for s in snapshots:
         fh = fft.fft2(s.values)
@@ -259,15 +261,16 @@ def energy_gradient_bounds_check(rec, energy0: float, ME: float) -> BoundsMargin
 # ---------------------------------------------------------------------------
 # blow-up time bound from the localized variance
 
-def blowup_time_bound(f: Field, gs, R: float, kappa: float,
+def blowup_time_bound(f: Field, gs, R: float | None, kappa: float,
                       kappa0: float = 0.1):
     """Upper bound t_b on the forward blow-up time for line data above threshold.
 
     For a datum on the mass-invariant scaling line with lam > 1 the scaled
     localized variance V_R = z_R / (32 E[Q] lam^2 (lam^2 - 1 - kappa))
     vanishes by t_b = V_R'(0) + sqrt(V_R'(0)^2 + 2 V_R(0)), provided the
-    exterior gradient stays within the kappa budget.  Returns (t_b, info)
-    with t_b None when the hypotheses are not verifiable at t = 0.
+    exterior gradient stays within the kappa budget; the cutoff radius R
+    defaults to L/4.  Returns (t_b, info) with t_b None when the hypotheses
+    are not verifiable at t = 0.
     """
     fh = fft.fft2(f.values)
     m = moments(f, fh)
@@ -282,6 +285,7 @@ def blowup_time_bound(f: Field, gs, R: float, kappa: float,
             f"{min(lam - 1.0, kappa0):g}"
         )
     g = f.grid
+    R = _cutoff_radius(R, g)
     ux, uy = grad = spectral_gradient(f, fh)
     ext = g.R >= R
     grad_ext = float(g.dx**2 * np.sum(np.abs(ux[ext]) ** 2 + np.abs(uy[ext]) ** 2))

@@ -101,10 +101,10 @@ def galilean_boost(f: Field, xi) -> Field:
 
 def galilean_reduce(f: Field) -> tuple[Field, np.ndarray]:
     """Boost to the zero-momentum frame; returns (reduced field, xi0 = -P/M)."""
-    cs = conserved(f)
-    if cs.mass <= 0.0:
+    m = moments(f)
+    if m.mass <= 0.0:
         raise ValueError("cannot reduce a zero-mass field")
-    xi0 = -cs.momentum / cs.mass
+    xi0 = -np.array([m.px, m.py]) / m.mass
     return galilean_boost(f, xi0), xi0
 
 

@@ -202,13 +202,15 @@ def atomic_open(path, mode: str = "w", **kwargs):
 
 
 def write_float_csv(path, header, rows) -> None:
-    """Write a CSV table atomically, each cell the repr of a float, so a
-    parse gives back the bits of every value."""
+    """Write a CSV table atomically, each number cell the repr of a float, so
+    a parse gives back the bits of every value; None is an empty cell and a
+    str is written as is."""
     with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+            writer.writerow(["" if v is None else v if isinstance(v, str)
+                             else repr(float(v)) for v in row])
 
 
 def write_checkpoint(f: Field, path) -> None:
@@ -231,15 +233,17 @@ def write_checkpoint(f: Field, path) -> None:
 def read_checkpoint(path, grid: SpectralGrid | None = None) -> Field:
     """Read a field checkpoint; builds the grid from the header if not given."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r}")
-        version, n = struct.unpack("<II", fh.read(8))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        L, t = struct.unpack("<dd", fh.read(16))
-        raw = fh.read(16 * n * n)
-    if len(raw) != 16 * n * n:
+        return parse_checkpoint(fh.read(), grid)
+
+
+def parse_checkpoint(data: bytes, grid: SpectralGrid | None = None) -> Field:
+    """The field held in a checkpoint's bytes (see `write_checkpoint`)."""
+    if data[:4] != CHECKPOINT_MAGIC:
+        raise ValueError(f"bad checkpoint magic {data[:4]!r}")
+    version, n, L, t = struct.unpack_from("<IIdd", data, 4)
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    if len(data) < 28 + 16 * n * n:
         raise ValueError("checkpoint truncated")
     if grid is None:
         grid = SpectralGrid(n, L)
@@ -247,6 +251,5 @@ def read_checkpoint(path, grid: SpectralGrid | None = None) -> Field:
         raise ValueError(
             f"checkpoint grid (n={n}, L={L}) does not match the supplied grid"
         )
-    interleaved = np.frombuffer(raw, dtype="<f8").reshape(n, n, 2)
-    values = interleaved[..., 0] + 1j * interleaved[..., 1]
-    return Field(grid, values, t)
+    interleaved = np.frombuffer(data, "<f8", 2 * n * n, 28).reshape(n, n, 2)
+    return Field(grid, interleaved[..., 0] + 1j * interleaved[..., 1], t)

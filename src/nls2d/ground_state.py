@@ -29,7 +29,7 @@ from .grid import (
     atomic_open,
     boundary_sup,
     moments,
-    read_checkpoint,
+    parse_checkpoint,
     write_checkpoint,
 )
 from .functionals import galilean_boost
@@ -435,20 +435,21 @@ def _read_verified(path: str, digest: str | None, what: str) -> bytes:
     return raw
 
 
-def load_ground_state(path: str, grid: SpectralGrid | None = None) -> GroundState:
+def load_ground_state(path: str) -> GroundState:
     """Load a cached ground state, verifying both hashes in the sidecar.
 
-    The radial profile is the stored spline, read back bit for bit, so no
-    ODE is solved.  All norms are recomputed from the loaded field and
-    certified against that profile again, so a fresh solve and a reload
-    agree bit for bit.
+    Each file is read once, and what is parsed is the bytes that were
+    hashed.  The radial profile is the stored spline, read back bit for
+    bit, so no ODE is solved.  All norms are recomputed from the loaded
+    field and certified against that profile again, so a fresh solve and a
+    reload agree bit for bit.
     """
     sidecar_path = path + ".json"
     if not os.path.exists(sidecar_path):
         raise CertificationError(f"missing cache sidecar {sidecar_path}")
     with open(sidecar_path) as fh:
         sidecar = json.load(fh)
-    _read_verified(path, sidecar.get("checksum"), "checkpoint")
+    checkpoint = _read_verified(path, sidecar.get("checksum"), "checkpoint")
     if not os.path.exists(path + ".profile"):
         raise CertificationError(f"cache {path} has no profile table; "
                                  "rebuild it with `nls2d ground`")
@@ -457,7 +458,5 @@ def load_ground_state(path: str, grid: SpectralGrid | None = None) -> GroundStat
     m = (table.size - 1) // 5
     profile = RadialProfile(table[: m + 1], table[m + 1:].reshape(4, m), *(
         float(sidecar["shooting"][k]) for k in ("q0", "c_tail", "r_switch")))
-    f = read_checkpoint(path, grid)
-    return _certify(f, profile, str(sidecar.get("method", "cache")),
-                    float(sidecar.get("tol", np.nan)),
-                    float(sidecar.get("s_final", np.nan)))
+    return _certify(parse_checkpoint(checkpoint), profile, str(sidecar["method"]),
+                    float(sidecar["tol"]), float(sidecar["s_final"]))

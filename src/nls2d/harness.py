@@ -9,7 +9,6 @@ bit-identical for identical config + seed.
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import os
 import traceback
@@ -18,7 +17,7 @@ import numpy as np
 from scipy import fft
 
 from .grid import (SpectralGrid, atomic_open, write_checkpoint, read_checkpoint,
-                   Field, moments)
+                   Field, moments, write_float_csv)
 from .functionals import renormalized, window_check
 from .ground_state import (
     CertificationError,
@@ -120,9 +119,9 @@ def run_single(cfg: dict, gs, out_dir: str, seed: int) -> dict:
     diag = cfg["diagnostics"]
     bound_info = None
     if diag["blowup_bound"]:
-        R = diag["bound_R"] if diag["bound_R"] is not None else grid.L / 4.0
         try:
-            t_b, info = blowup_time_bound(f, gs, R, diag["kappa"], diag["kappa0"])
+            t_b, info = blowup_time_bound(f, gs, diag["bound_R"], diag["kappa"],
+                                          diag["kappa0"])
             bound_info = {"t_b": t_b, **{k: v for k, v in info.items()}}
         except ValueError as exc:
             bound_info = {"t_b": None, "reason": str(exc)}
@@ -162,9 +161,9 @@ def run_single(cfg: dict, gs, out_dir: str, seed: int) -> dict:
 
     virial_note = None
     if diag["virial"]:
-        R = diag["virial_R"] if diag["virial_R"] is not None else grid.L / 4.0
         try:
-            trace = virial_check_full(rec.snapshots_at(virial_times), R=R)
+            trace = virial_check_full(rec.snapshots_at(virial_times),
+                                      R=diag["virial_R"])
             write_virial_csv(trace, os.path.join(out_dir, "virial.csv"))
             guarded = int(np.sum(np.isnan(trace.V)))
             if guarded:
@@ -249,8 +248,7 @@ def _sweep_worker(payload: dict) -> tuple[int, tuple]:
         for stale in (key_path, error_path):
             if os.path.exists(stale):
                 os.remove(stale)
-        gs = load_ground_state(payload["cache"])
-        report = run_single(payload["cfg"], gs, payload["out_dir"],
+        report = run_single(payload["cfg"], payload["gs"], payload["out_dir"],
                             payload["seed"])
         with atomic_open(key_path) as fh:
             fh.write(payload["key"])
@@ -275,29 +273,21 @@ def _row_from_report(lam: float, report: dict) -> tuple:
             report["outcome"]["outcome"], extra)
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def cmd_sweep(cfg: dict, out_dir: str, workers: int | None = None) -> str:
     """Run one trajectory per sweep lambda; emit region_map.csv.
 
-    Rows land in input order regardless of scheduling.  A row directory
-    whose report.json parses and whose row.json records the same row config
-    and seed is loaded, not rerun, so an interrupted sweep resumes where it
-    stopped; any other row runs afresh.
+    Every row takes the ground state that this process loaded or solved,
+    in memory; the sweep writes no copy of the cache.  Rows land in input
+    order regardless of scheduling.  A row directory whose report.json
+    parses and whose row.json records the same row config and seed is
+    loaded, not rerun, so an interrupted sweep resumes where it stopped;
+    any other row runs afresh.
     """
     lambdas = cfg["sweep"]["lambdas"]
     if not lambdas:
         raise ValueError("sweep.lambdas is empty")
     _ensure_dir(out_dir)
     gs = prepare_ground_state(cfg)
-    cache = os.path.join(out_dir, "ground_state.nls2")
-    save_ground_state(gs, cache)
 
     ss = np.random.SeedSequence(cfg["seed"])
     children = ss.spawn(len(lambdas))
@@ -310,7 +300,7 @@ def cmd_sweep(cfg: dict, out_dir: str, workers: int | None = None) -> str:
             "index": i,
             "lam": float(lam),
             "cfg": row_cfg,
-            "cache": cache,
+            "gs": gs,
             "out_dir": os.path.join(out_dir, f"row_{i:03d}"),
             "seed": seed,
             "key": json.dumps({"config": row_cfg, "seed": seed}, indent=2),
@@ -336,11 +326,7 @@ def cmd_sweep(cfg: dict, out_dir: str, workers: int | None = None) -> str:
                 rows[i] = row
 
     path = os.path.join(out_dir, "region_map.csv")
-    with atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REGION_COLUMNS)
-        for i in range(len(lambdas)):
-            writer.writerow([_csv_cell(c) for c in rows[i]])
+    write_float_csv(path, REGION_COLUMNS, (rows[i] for i in range(len(lambdas))))
     print(f"region map {path} ({len(lambdas)} rows)")
     return path
 

@@ -571,7 +571,7 @@ def test_artifact_writer_that_raises_keeps_the_old_file(gs_cert, grid_128,
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(rec, str(path))
     old = path.read_bytes()
-    rec.grad_sq[1] = None  # float(None) raises after the first row is out
+    rec.grad_sq[1] = []  # float([]) raises after the first row is out
     with pytest.raises(TypeError):
         write_trajectory_csv(rec, str(path))
     assert path.read_bytes() == old

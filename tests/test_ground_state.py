@@ -343,6 +343,19 @@ def test_cache_requires_sidecar(gs_cert, tmp_path):
         load_ground_state(path)
 
 
-def test_cache_grid_mismatch(gs_cache):
-    with pytest.raises(ValueError):
-        load_ground_state(gs_cache, SpectralGrid(256, 32.0))
+def test_cache_load_opens_the_checkpoint_once(gs_cache, monkeypatch):
+    # the field is parsed from the bytes whose hash was checked, not from a
+    # second read that could see another file
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    gs = load_ground_state(gs_cache)
+    assert gs.certified
+    assert opened.count(gs_cache) == 1
+    assert opened.count(gs_cache + ".json") == 1
+    assert opened.count(gs_cache + ".profile") == 1

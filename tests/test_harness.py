@@ -264,6 +264,22 @@ def test_sweep_records_a_failed_row(gs_cache, tmp_path):
     assert not (tmp_path / "row_000" / "error.txt").exists()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_writes_no_cache_copy(gs_cache, tmp_path, workers):
+    # the rows take the parent's certified ground state in memory
+    cfg = base_cfg(
+        gs_cache,
+        t_end=0.02,
+        probes={"cadence": 0.01},
+        sweep={"lambdas": [1.2, 1.3], "family": "perturbed_q", "eps": 1e-3},
+        seed=11,
+    )
+    cmd_sweep(cfg, str(tmp_path), workers=workers)
+    assert sorted(os.listdir(tmp_path)) == ["region_map.csv", "row_000", "row_001"]
+    for row in ("row_000", "row_001"):
+        assert (tmp_path / row / "row.json").exists()
+
+
 def test_cli_explain_config(capsys):
     assert main(["explain-config"]) == 0
     assert "Configuration keys" in capsys.readouterr().out
