@@ -60,7 +60,8 @@ def step_ms(w, v, controls, target, repeats):
     for _ in range(repeats):
         wc = w.copy()
         t0 = time.perf_counter()
-        _, _, steps = evolution._advance(wc, v, 0.0, target, controls, grid.k1d)
+        _, _, steps = evolution._advance(wc, v, 0.0, target, controls,
+                                         evolution._full_basis(grid))
         per_step.append((time.perf_counter() - t0) / steps)
     return 1e3 * statistics.median(per_step)
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import fft
@@ -195,9 +196,24 @@ def _support(hot: np.ndarray) -> list[slice]:
             else [slice(start, None), slice(0, stop)])
 
 
-def _sum_bound4(w: np.ndarray) -> float:
-    """(sum |w| / n^2)^4, a bound on sup|ifft2(w)|^4 the free flow keeps."""
-    return (np.sum(np.abs(w)) / w.size) ** 4
+class Basis(NamedTuple):
+    """A transform pair (both take overwrite_x), the wavenumber of each
+    spectral index per axis, and weights: sum(weight |w|) = sum |uh| / n^2."""
+
+    forward: Callable
+    inverse: Callable
+    k: np.ndarray
+    weight: float | np.ndarray
+
+
+def _full_basis(grid) -> Basis:
+    # 1 / n^2 is a power of two, so it scales the sum of |w| exactly
+    return Basis(fft.fft2, fft.ifft2, grid.k1d, 1.0 / grid.n**2)
+
+
+def _sum_bound4(w: np.ndarray, weight) -> float:
+    """(sum |uh| / n^2)^4, a bound on sup|u|^4 the free flow keeps."""
+    return np.sum(np.abs(w) * weight) ** 4
 
 
 def _phase(u: np.ndarray, gdt: float, sq: np.ndarray, theta: np.ndarray,
@@ -224,14 +240,15 @@ def _phase(u: np.ndarray, gdt: float, sq: np.ndarray, theta: np.ndarray,
 
 
 def _advance(w: np.ndarray, v: np.ndarray, t: float, target: float,
-             controls: StepControls, k1d: np.ndarray):
-    """Step the spectrum w of the field v from t to target, overwriting w.
+             controls: StepControls, basis: Basis):
+    """Step the spectrum w of the field v from t to target in basis,
+    overwriting w.
 
     Returns (w, t, steps), w at target with the owed free flow applied; the
     dt rule reads v at t.  On a non-finite phase, returns (None, t, steps)
     with t the time that step began.
     """
-    gammas = SCHEMES[controls.scheme]
+    gammas, k = SCHEMES[controls.scheme], basis.k
     # free-flow fraction of dt before each phase stage; gammas[-1] / 2 ends it
     lead = [0.5 * (a + b) for a, b in zip((0.0,) + gammas, gammas)]
     fixed = controls.dt_min == controls.dt_max
@@ -245,37 +262,38 @@ def _advance(w: np.ndarray, v: np.ndarray, t: float, target: float,
         # past the last stage's max |u|^4, the sum bound fails unsummed
         if fixed or (boundary is None
                      and peak * peak * (1.0 - BOUND_SLACK) <= sup4_bound
-                     and _sum_bound4(w) <= sup4_bound):
+                     and _sum_bound4(w, basis.weight) <= sup4_bound):
             dt = controls.dt_max
         else:
             if boundary is None:
-                boundary, h = fft.ifft2(free_flow(w, h, k1d)), 0.0
+                boundary, h = basis.inverse(free_flow(w, h, k)), 0.0
             sup4 = float(np.max([np.abs(b, out=sq[:len(b)]).max()
                                  for b in _blocks(boundary)]) ** 4)
             dt = max(min(controls.dt_max, controls.cfl_c / sup4 if sup4 else np.inf),
                      controls.dt_min)
         dt = min(dt, target - t)
         for a, gamma in zip(lead, gammas):
-            u = fft.ifft2(free_flow(w, h + a * dt, k1d), overwrite_x=True)
+            u = basis.inverse(free_flow(w, h + a * dt, k), overwrite_x=True)
             peak = _phase(u, gamma * dt, sq, theta, rot)
             if not np.isfinite(peak * (peak * abs(gamma * dt))):
                 return None, t, steps + 1
-            w = fft.fft2(u, overwrite_x=True)
+            w = basis.forward(u, overwrite_x=True)
             h = 0.0
         boundary, h, steps = None, 0.5 * gammas[-1] * dt, steps + 1
         t += dt
-    return free_flow(w, h, k1d), t, steps
+    return free_flow(w, h, k), t, steps
 
 
 def step_strang(f: Field, dt: float) -> Field:
     """One symmetric split step; advances the time stamp by dt."""
     if dt <= 1e-12:
         raise ValueError(f"dt must exceed 1e-12, got {dt:g}")
-    w, _, _ = _advance(fft.fft2(f.values), f.values, 0.0, dt,
-                       StepControls(dt_min=dt, dt_max=dt), f.grid.k1d)
+    basis = _full_basis(f.grid)
+    w, _, _ = _advance(basis.forward(f.values), f.values, 0.0, dt,
+                       StepControls(dt_min=dt, dt_max=dt), basis)
     if w is None:
         raise ValueError("the step overflowed to non-finite samples")
-    return Field(f.grid, fft.ifft2(w, overwrite_x=True), f.t + dt)
+    return Field(f.grid, basis.inverse(w, overwrite_x=True), f.t + dt)
 
 
 def detect_blowup(rec: TrajectoryRecord, controls: StepControls) -> float | None:
@@ -345,18 +363,18 @@ def evolve(
     rec = TrajectoryRecord(probes.variance)
     n_probes = max(int(round((t_end - f.t) / probes.cadence)), 1)
     stalled_tail_streak = 0
-    v, t = f.values, f.t
-    w = fft.fft2(v)
+    v, t, basis = f.values, f.t, _full_basis(f.grid)
+    w = basis.forward(v)
     for i in range(n_probes + 1):
         target = f.t + i * probes.cadence if i < n_probes else t_end
-        w, t, steps = _advance(w, v, t, target, controls, f.grid.k1d)
+        w, t, steps = _advance(w, v, t, target, controls, basis)
         rec.steps_taken += steps
         if w is None:
             # overflow near collapse counts as a blow-up signal
             rec.set_outcome(BLOWUP_DETECTED, t)
             return rec
         if i:
-            v = fft.ifft2(w)  # the t = f.t probe reads the datum itself
+            v = basis.inverse(w)  # the t = f.t probe reads the datum itself
         t = target  # resync against accumulated roundoff
         u = Field(f.grid, v, t)
         m = moments(u, w)

@@ -310,9 +310,9 @@ def test_sum_bound_skip_never_changes_a_step(grid_128, monkeypatch):
     # take the same steps to the same bits.
     summed = []
 
-    def counted(w, _bound=evolution._sum_bound4):
+    def counted(w, weight, _bound=evolution._sum_bound4):
         summed.append(1)
-        return _bound(w)
+        return _bound(w, weight)
 
     monkeypatch.setattr(evolution, "_sum_bound4", counted)
 
