@@ -10,7 +10,10 @@ on a focusing Gaussian hump (amplitude 2.5, width 1) on the 512/32 grid of
 the blow-up sweep. At that amplitude sup|u|^4 = 39 exceeds cfl_c / dt_max =
 25, so every adaptive step forms the boundary field, as a collapsing run
 does. A step figure is the time of `_advance` over several steps divided
-by the steps it took.
+by the steps it took. The hump is even in x and in y, so a run steps it on
+its 257^2 quadrant: the `quadrant_` rows time the DCT-I pair, a phase
+stage, the three steps there, and the unfolding of a probe's field and
+spectrum; the full-grid rows time the FFT path that uneven data take.
 
 The cold path a run pays before its first step has three rows: loading a
 ground-state cache that the script solves and writes once (512/48),
@@ -54,14 +57,14 @@ def median_ms(call, prepare=lambda: None, repeats=25):
     return 1e3 * statistics.median(times)
 
 
-def step_ms(w, v, controls, target, repeats):
-    """Median time per step of `_advance` from t = 0 to target."""
+def step_ms(basis, v, controls, target, repeats):
+    """Median time per step of `_advance` in basis from the field v at t = 0
+    to target."""
     per_step = []
     for _ in range(repeats):
-        wc = w.copy()
+        wc = basis.forward(v)
         t0 = time.perf_counter()
-        _, _, steps = evolution._advance(wc, v, 0.0, target, controls,
-                                         evolution._full_basis(grid))
+        _, _, steps = evolution._advance(wc, v, 0.0, target, controls, basis)
         per_step.append((time.perf_counter() - t0) / steps)
     return 1e3 * statistics.median(per_step)
 
@@ -77,26 +80,46 @@ def import_ms(repeats=5):
     return 1e3 * statistics.median(times)
 
 
+def buffers(m):
+    """The phase's block buffers for an m x m field."""
+    rows = min(evolution.BLOCK_ROWS, m)
+    return (np.empty((rows, m)), np.empty((rows, m)),
+            np.empty((rows, m), dtype=np.complex128))
+
+
 grid = SpectralGrid(N, L)
 v = (2.5 * np.exp(-grid.R**2 / 2.0)).astype(np.complex128)
 w = fft.fft2(v)
-rows = min(evolution.BLOCK_ROWS, N)
-buffers = (np.empty((rows, N)), np.empty((rows, N)),
-           np.empty((rows, N), dtype=np.complex128))
+# the hump is even, so it steps on the quadrant; the full grid's basis is
+# the one its roll by a grid point gets
+quadrant = evolution._basis(Field(grid, v))
+vq = np.ascontiguousarray(quadrant.fold(v))
+wq = quadrant.forward(vq)
+full = evolution._basis(Field(grid, np.roll(v, 1, axis=0)))
 fixed = StepControls(dt_min=DT, dt_max=DT)
+kahan_li6 = StepControls(dt_min=DT, dt_max=DT, scheme="kahan_li6")
 
 medians = {
     "free_flow": median_ms(lambda x: evolution.free_flow(x, 0.5 * DT, grid.k1d),
                            w.copy, repeats=50),
-    "phase_stage": median_ms(lambda x: evolution._phase(x, DT, *buffers),
+    "phase_stage": median_ms(lambda x: evolution._phase(x, DT, *buffers(N)),
                              v.copy, repeats=50),
-    "strang_fixed_step": step_ms(w, v, fixed, 10 * DT, repeats=7),
-    "strang_adaptive_step": step_ms(w, v, StepControls(), 0.05, repeats=7),
-    "kahan_li6_step": step_ms(w, v, StepControls(dt_min=DT, dt_max=DT,
-                                                 scheme="kahan_li6"),
-                              3 * DT, repeats=5),
+    "strang_fixed_step": step_ms(full, v, fixed, 10 * DT, repeats=7),
+    "strang_adaptive_step": step_ms(full, v, StepControls(), 0.05, repeats=7),
+    "kahan_li6_step": step_ms(full, v, kahan_li6, 3 * DT, repeats=5),
     "moments": median_ms(lambda f: moments(f, w), lambda: Field(grid, v)),
     "ifft2": median_ms(fft.ifft2, lambda: w),
+    "quadrant_dct1_pair": median_ms(
+        lambda x: quadrant.inverse(quadrant.forward(x)), lambda: vq, repeats=50),
+    "quadrant_phase_stage": median_ms(
+        lambda x: evolution._phase(x, DT, *buffers(len(vq))), vq.copy, repeats=50),
+    "quadrant_fixed_step": step_ms(quadrant, vq, fixed, 10 * DT, repeats=7),
+    "quadrant_adaptive_step": step_ms(quadrant, vq, StepControls(), 0.05,
+                                      repeats=7),
+    "quadrant_kahan_li6_step": step_ms(quadrant, vq, kahan_li6, 3 * DT,
+                                       repeats=5),
+    "quadrant_unfold": median_ms(
+        lambda x: (quadrant.unfold(x), quadrant.unfold(wq, True)), lambda: vq),
 }
 with tempfile.TemporaryDirectory() as tmp:
     cache = os.path.join(tmp, "ground_state.nls2")

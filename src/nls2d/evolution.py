@@ -38,6 +38,17 @@ the free flow, the FFTs and a finite rotation, and |u| ~ 1e77 already makes
 theta overflow, so a step stops at its first stage with a non-finite max
 |theta|.
 
+A datum even in x and in y to the bit, v[j] == v[-j mod n] on both axes,
+stays even under both sub-flows, so it steps on its (n/2+1)^2 quadrant
+j = n/2 ... n in the DCT-I basis (Boyd 2001, ch. 8), where the sum bound
+counts a coefficient once at k = 0 and k = n/2 and twice elsewhere, per
+axis.  A quadrant stage costs two DCT-I transforms at 257^2, about half of
+two FFTs at 512^2, and a quarter of the elementwise work: a fixed-dt Strang
+step at 512 took 4-7 ms against 11-14 ms on a shared two-core machine.
+Every other datum steps on the full grid, bit for bit as before the
+quadrant.  Probes unfold the quadrant, so they and every diagnostic read
+full-grid fields and spectra.
+
 The driver integrates between probe times, records norms and conserved
 drift, monitors the spectral tail as a resolution certificate, and converts
 gradient growth plus tail growth into a blow-up detection.  We detect the
@@ -198,17 +209,59 @@ def _support(hot: np.ndarray) -> list[slice]:
 
 class Basis(NamedTuple):
     """A transform pair (both take overwrite_x), the wavenumber of each
-    spectral index per axis, and weights: sum(weight |w|) = sum |uh| / n^2."""
+    spectral index per axis, weights: sum(weight |w|) = sum |uh| / n^2, and
+    the maps from a full-grid field to the samples it steps and back."""
 
     forward: Callable
     inverse: Callable
     k: np.ndarray
     weight: float | np.ndarray
+    fold: Callable = lambda a: a
+    unfold: Callable = lambda a, spectrum=False: a
 
 
-def _full_basis(grid) -> Basis:
-    # 1 / n^2 is a power of two, so it scales the sum of |w| exactly
-    return Basis(fft.fft2, fft.ifft2, grid.k1d, 1.0 / grid.n**2)
+def _is_even(v: np.ndarray) -> bool:
+    """Whether v[j] == v[-j mod n] on both axes, to the bit."""
+    return (np.array_equal(v[1:], v[:0:-1])
+            and np.array_equal(v[:, 1:], v[:, :0:-1]))
+
+
+def _basis(f: Field) -> Basis:
+    """The basis f steps in: on the quadrant j = n/2 ... n (by evenness, the
+    samples of j = n/2 ... 0) if f is even, else on the full grid."""
+    n = f.grid.n
+    if not _is_even(f.values):
+        # 1 / n^2 is a power of two, so it scales the sum of |w| exactly
+        return Basis(fft.fft2, fft.ifft2, f.grid.k1d, 1.0 / n**2)
+    h = n // 2
+    # k = 0 and k = n/2 stand for one full-grid coefficient, the rest for two
+    m = np.where(np.arange(h + 1) % h, 2.0, 1.0)
+    return Basis(_dct1(fft.dctn), _dct1(fft.idctn), f.grid.k1d[:h + 1],
+                 np.outer(m, m) / n**2, lambda a: a[h::-1, h::-1], _unfold)
+
+
+def _dct1(transform) -> Callable:
+    """scipy's dctn or idctn of type 1 over a complex square array, run on
+    its (re, im) pairs in one call: the complex call's bits, in less time."""
+    def run(x, overwrite_x=False):
+        pairs = np.ascontiguousarray(x).view(np.float64).reshape(*x.shape, 2)
+        y = transform(pairs, type=1, axes=(0, 1), overwrite_x=overwrite_x)
+        return y.view(np.complex128)[..., 0]
+    return run
+
+
+def _unfold(q: np.ndarray, spectrum: bool = False) -> np.ndarray:
+    """The even n x n array of which q is the quadrant.  Index j of a field
+    is the quadrant's |j - n/2|; index k of a spectrum is its min(k, n - k),
+    signed by (-1)^k per axis, because the grid's origin sits at j = n/2."""
+    h = len(q) - 1
+    if spectrum:
+        sign = 1.0 - 2.0 * (np.arange(h + 1) % 2)
+        q = q * sign[:, None]
+        q *= sign
+    else:
+        q = q[::-1, ::-1]
+    return np.pad(q, (0, h - 1), mode="reflect")
 
 
 def _sum_bound4(w: np.ndarray, weight) -> float:
@@ -288,12 +341,13 @@ def step_strang(f: Field, dt: float) -> Field:
     """One symmetric split step; advances the time stamp by dt."""
     if dt <= 1e-12:
         raise ValueError(f"dt must exceed 1e-12, got {dt:g}")
-    basis = _full_basis(f.grid)
-    w, _, _ = _advance(basis.forward(f.values), f.values, 0.0, dt,
+    basis = _basis(f)
+    v = basis.fold(f.values)
+    w, _, _ = _advance(basis.forward(v), v, 0.0, dt,
                        StepControls(dt_min=dt, dt_max=dt), basis)
     if w is None:
         raise ValueError("the step overflowed to non-finite samples")
-    return Field(f.grid, basis.inverse(w, overwrite_x=True), f.t + dt)
+    return Field(f.grid, basis.unfold(basis.inverse(w, overwrite_x=True)), f.t + dt)
 
 
 def detect_blowup(rec: TrajectoryRecord, controls: StepControls) -> float | None:
@@ -363,21 +417,20 @@ def evolve(
     rec = TrajectoryRecord(probes.variance)
     n_probes = max(int(round((t_end - f.t) / probes.cadence)), 1)
     stalled_tail_streak = 0
-    v, t, basis = f.values, f.t, _full_basis(f.grid)
-    w = basis.forward(v)
+    basis, u, t = _basis(f), f, f.t  # the t = f.t probe reads the datum itself
+    w = basis.forward(basis.fold(f.values))
     for i in range(n_probes + 1):
         target = f.t + i * probes.cadence if i < n_probes else t_end
-        w, t, steps = _advance(w, v, t, target, controls, basis)
+        w, t, steps = _advance(w, basis.fold(u.values), t, target, controls, basis)
         rec.steps_taken += steps
         if w is None:
             # overflow near collapse counts as a blow-up signal
             rec.set_outcome(BLOWUP_DETECTED, t)
             return rec
-        if i:
-            v = basis.inverse(w)  # the t = f.t probe reads the datum itself
         t = target  # resync against accumulated roundoff
-        u = Field(f.grid, v, t)
-        m = moments(u, w)
+        if i:
+            u = Field(f.grid, basis.unfold(basis.inverse(w)), t)
+        m = moments(u, basis.unfold(w, True))
         if not i:
             rec.mass0, rec.energy0 = m.mass, m.energy
         rec.add_sample(t, **_probe(u, m, gs, rec))

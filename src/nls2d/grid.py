@@ -10,6 +10,7 @@ dx^2 * sum, which is spectrally accurate for smooth periodic integrands.
 from __future__ import annotations
 
 import csv
+import hashlib
 import os
 import struct
 from contextlib import contextmanager
@@ -213,8 +214,9 @@ def write_float_csv(path, header, rows) -> None:
                              else repr(float(v)) for v in row])
 
 
-def write_checkpoint(f: Field, path) -> None:
-    """Write the binary field checkpoint.
+def write_checkpoint(f: Field, path) -> str:
+    """Write the binary field checkpoint; returns the sha256 hex digest of
+    the bytes written.
 
     Layout: magic "NLS2", version u32, n u32, L f64, t f64, then n^2
     little-endian (re, im) f64 pairs in row-major order.
@@ -225,9 +227,12 @@ def write_checkpoint(f: Field, path) -> None:
     interleaved = np.empty((f.grid.n, f.grid.n, 2), dtype="<f8")
     interleaved[..., 0] = f.values.real
     interleaved[..., 1] = f.values.imag
+    digest = hashlib.sha256()
     with atomic_open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(interleaved.tobytes())
+        for chunk in (header, interleaved.data):
+            fh.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def read_checkpoint(path, grid: SpectralGrid | None = None) -> Field:

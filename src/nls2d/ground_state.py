@@ -97,6 +97,18 @@ class RadialProfile:
     def r_max(self) -> float:
         return float(self.x[-1])
 
+    def interval(self, r: np.ndarray) -> np.ndarray:
+        """searchsorted(x, r, "right") - 1 clipped to m - 1 on [0, r_max]: the
+        breakpoints are two uniform runs (1e-3 apart, 1e-2 from r_switch),
+        so a division is off by at most one, either way."""
+        x, m = self.x, self.c.shape[1]
+        s = int(np.searchsorted(x, self.r_switch))  # the second run's start
+        i = np.where(r < x[s], r / x[1], s + (r - x[s]) / (x[s + 1] - x[s]))
+        i = np.minimum(i.astype(np.intp), m - 1)
+        i -= x[i] > r
+        i += (x[i + 1] <= r) & (i < m - 1)
+        return i
+
     def q_of(self, r) -> np.ndarray:
         """Evaluate Q at arbitrary radii (zero beyond the tabulated range)."""
         r = np.asarray(r, dtype=float)
@@ -105,8 +117,7 @@ class RadialProfile:
         # in chunks, so the temporaries stay small beside a 512^2 grid
         for a in range(0, flat.size, _Q_CHUNK):
             rc = np.clip(flat[a:a + _Q_CHUNK], 0.0, self.r_max)
-            i = np.clip(np.searchsorted(self.x, rc, "right") - 1,
-                        0, self.c.shape[1] - 1)
+            i = self.interval(rc)
             s = rc - self.x[i]
             c0, c1, c2, c3 = np.take(self.c, i, axis=1)
             # PPoly's power-sum order, not Horner's, so the bits are scipy's
@@ -316,6 +327,12 @@ def solve_petviashvili(
             f"no convergence in {max_iter} iterations (residual {res:.3e})"
         )
 
+    # even in x and in y to the bit (IEEE addition commutes), so that Q and
+    # the data built from it step on the quadrant
+    flip = -np.arange(n) % n
+    for axis in (0, 1):
+        u += np.take(u, flip, axis=axis)
+        u *= 0.5
     f = Field(grid, u.astype(np.complex128), 0.0)
     return _certify(f, profile, "petviashvili", tol, float(S))
 
@@ -395,9 +412,7 @@ def make_initial_data(
 def save_ground_state(gs: GroundState, path: str) -> None:
     """Write the cache: field checkpoint, the profile's spline table at
     <path>.profile, and a JSON sidecar with both hashes at <path>.json."""
-    write_checkpoint(gs.field, path)
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+    digest = write_checkpoint(gs.field, path)
     p = gs.radial_profile
     table = np.concatenate([p.x, p.c.ravel()]).astype("<f8").tobytes()
     with atomic_open(path + ".profile", "wb") as fh:

@@ -143,27 +143,34 @@ def test_fused_steps_match_step_strang(gs_cert, grid_128, probe_steps):
 @pytest.mark.parametrize("scheme, per_step", [("strang", 2), ("kahan_li6", 18)])
 def test_evolve_transforms_each_field_once(grid_128, monkeypatch, scheme,
                                            per_step):
-    # one forward FFT of the datum, per_step FFTs per step, and one inverse
-    # FFT per probe interval for the probe's field: no probe transforms the
-    # field back, and every transform is scipy's
+    # one forward transform of the datum, per_step transforms per step, and
+    # one inverse transform per probe interval for the probe's field: no
+    # probe transforms the field back, and every transform is scipy's.  The
+    # even hump steps on the quadrant in the DCT-I pair; rolled by a grid
+    # point it steps on the full grid in the FFT pair
     import scipy.fft
 
-    f = gaussian(grid_128, 0.8, 1.2)
     calls = []
-    for module, backend in ((scipy.fft, "scipy"), (np.fft, "numpy")):
-        for name in ("fft2", "ifft2"):
-            def counted(*args, _fn=getattr(module, name), _backend=backend,
+    for module, backend, names in (
+            (scipy.fft, "scipy", ("fft2", "ifft2", "dctn", "idctn")),
+            (np.fft, "numpy", ("fft2", "ifft2"))):
+        for name in names:
+            def counted(*args, _fn=getattr(module, name), _call=(backend, name),
                         **kwargs):
-                calls.append(_backend)
+                calls.append(_call)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
     dt = 2.0**-10
-    rec = evolve(f, 8 * dt, fixed_dt(dt, scheme=scheme), SimpleNamespace(qq_gq=1.0),
-                 ProbeSpec(cadence=2 * dt))
-    steps, intervals = 8, 4
-    assert rec.steps_taken == steps and len(rec.times) == intervals + 1
-    assert calls.count("numpy") == 0
-    assert calls.count("scipy") == per_step * steps + intervals + 1
+    hump = gaussian(grid_128, 0.8, 1.2).values
+    for shift, pair in ((0, ("dctn", "idctn")), (1, ("fft2", "ifft2"))):
+        calls.clear()
+        rec = evolve(Field(grid_128, np.roll(hump, shift, axis=0)), 8 * dt,
+                     fixed_dt(dt, scheme=scheme), SimpleNamespace(qq_gq=1.0),
+                     ProbeSpec(cadence=2 * dt))
+        steps, intervals = 8, 4
+        assert rec.steps_taken == steps and len(rec.times) == intervals + 1
+        assert set(calls) == {("scipy", name) for name in pair}
+        assert len(calls) == per_step * steps + intervals + 1
 
 
 def test_probe_reads_the_spectrum_of_its_field(grid_128):
@@ -262,7 +269,10 @@ def test_phase_is_the_full_grid_rotation(grid_128, monkeypatch, scheme):
     edge = evolution.BLOCK_ROWS - g.n // 2  # centres the hump on a block edge
     small = SpectralGrid(16, 8.0)
     assert small.n < evolution.BLOCK_ROWS < g.n
-    data = ((g, centred), (g, np.roll(centred, (g.n // 2, g.n // 2 + 5), axis=(0, 1))),
+    # the centred hump steps on the quadrant, every other datum on the full
+    # grid, the centred hump too once it is rolled by one grid point
+    data = ((g, centred), (g, np.roll(centred, 1, axis=0)),
+            (g, np.roll(centred, (g.n // 2, g.n // 2 + 5), axis=(0, 1))),
             (g, np.roll(centred, (edge, g.n // 2 + 5), axis=(0, 1))), (g, spread),
             (small, np.roll(1.2 * np.exp(-(small.X**2 + small.Y**2) / 2.0) + 0j,
                             (small.n // 2, small.n // 2 + 3), axis=(0, 1))))
@@ -307,7 +317,8 @@ def test_sum_bound_skip_never_changes_a_step(grid_128, monkeypatch):
     # bound: once the last stage's max |u|^4 is past cfl_c / dt_max, the
     # stepper skips the spectral sum it knows must fail.  A slack of 1
     # turns the skip off; the run must then sum where it skipped and still
-    # take the same steps to the same bits.
+    # take the same steps to the same bits.  The hump steps on the
+    # quadrant; rolled by a grid point, on the full grid.
     summed = []
 
     def counted(w, weight, _bound=evolution._sum_bound4):
@@ -316,21 +327,38 @@ def test_sum_bound_skip_never_changes_a_step(grid_128, monkeypatch):
 
     monkeypatch.setattr(evolution, "_sum_bound4", counted)
 
-    def run():
+    def run(datum):
         summed.clear()
-        rec = evolve(gaussian(grid_128, 2.0, 1.0), 0.1, StepControls(dt_max=2e-3),
+        rec = evolve(datum, 0.1, StepControls(dt_max=2e-3),
                      SimpleNamespace(qq_gq=1.0),
                      ProbeSpec(cadence=0.05, snapshot_times=(0.1,)))
         return rec, len(summed)
 
-    skipping, sums = run()
-    monkeypatch.setattr(evolution, "BOUND_SLACK", 1.0)
-    full, sums_without_skip = run()
-    assert sums_without_skip - sums >= 20
-    assert skipping.steps_taken == full.steps_taken
-    assert skipping.times == full.times
-    assert skipping.outcome_t == full.outcome_t
-    assert np.array_equal(skipping.snapshots[-1].values, full.snapshots[-1].values)
+    hump, slack = gaussian(grid_128, 2.0, 1.0).values, evolution.BOUND_SLACK
+    for shift in (0, 1):
+        datum = Field(grid_128, np.roll(hump, shift, axis=0))
+        monkeypatch.setattr(evolution, "BOUND_SLACK", slack)
+        skipping, sums = run(datum)
+        monkeypatch.setattr(evolution, "BOUND_SLACK", 1.0)
+        full, sums_without_skip = run(datum)
+        assert sums_without_skip - sums >= 20
+        assert skipping.steps_taken == full.steps_taken
+        assert skipping.times == full.times
+        assert skipping.outcome_t == full.outcome_t
+        assert np.array_equal(skipping.snapshots[-1].values,
+                              full.snapshots[-1].values)
+
+
+def test_sum_bound_is_the_full_grids(grid_128):
+    # on the quadrant each DCT-I coefficient stands for its k and n - k on
+    # either axis, so its weighted sum is the full spectrum's sum |uh| / n^2
+    f = gaussian(grid_128, 2.0, 1.0)
+    basis = evolution._basis(f)
+    assert basis.unfold is evolution._unfold
+    want = np.sum(np.abs(np.fft.fft2(f.values))) / f.values.size
+    got = evolution._sum_bound4(basis.forward(basis.fold(f.values)),
+                                basis.weight) ** 0.25
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_phase_box_is_the_shortest_cyclic_run():
@@ -528,6 +556,71 @@ def test_evolve_commutes_with_grid_symmetries(gs_cert, grid_128):
         assert dev < bound
         assert np.max(np.abs(np.subtract(rec.momx, momx))) < bound
         assert np.max(np.abs(np.subtract(rec.momy, momy))) < bound
+
+
+@pytest.mark.parametrize("controls", [fixed_dt(2.0**-10), StepControls(dt_max=2e-3),
+                                      fixed_dt(2.0**-10, scheme="kahan_li6")],
+                         ids=["fixed", "adaptive", "kahan_li6"])
+@pytest.mark.parametrize("family", ["scaled_q", "gaussian"])
+def test_even_data_step_on_the_quadrant(gs_cert, grid_128, monkeypatch, family,
+                                        controls):
+    # a datum even in x and in y to the bit steps on the quadrant in the
+    # DCT-I basis; the full grid's FFT path, forced, takes the same steps
+    # and agrees to roundoff in the final field and every probe column.
+    # The amplitude-2 hump makes the adaptive dt shrink mid-run.
+    if family == "scaled_q":
+        f = make_initial_data("scaled_q", {"lam": 1.1}, grid_128, gs_cert)
+    else:
+        f = gaussian(grid_128, 2.0, 1.0)
+    assert evolution._is_even(f.values)
+    t_end = 0.1
+
+    def run():
+        rec = evolve(f, t_end, controls, gs_cert,
+                     ProbeSpec(cadence=0.025, snapshot_times=(t_end,)))
+        return rec, step_strang(f, 2e-3).values
+
+    quad, quad_step = run()
+    monkeypatch.setattr(evolution, "_is_even", lambda v: False)
+    full, full_step = run()
+    assert quad.outcome == full.outcome == RAN_TO_T_END
+    assert quad.steps_taken == full.steps_taken >= 60
+    assert quad.times == full.times
+    # measured: 1.6e-15 on the step, up to 1.4e-12 relative to the sup on
+    # the final field (kahan_li6 on the focusing hump), 1.4e-12 on a column
+    for got, want, tol in (
+            (quad_step, full_step, 1e-14),
+            (quad.snapshots[-1].values, full.snapshots[-1].values, 1e-11)):
+        assert np.max(np.abs(got - want)) < tol * np.max(np.abs(want))
+    for c in full.columns:
+        want = np.asarray(getattr(full, c))
+        dev = np.max(np.abs(np.asarray(getattr(quad, c)) - want))
+        assert dev < 1e-11 * max(1.0, np.max(np.abs(want))), c
+
+
+def test_a_datum_off_symmetry_steps_on_the_full_grid(gs_cert, grid_128,
+                                                      monkeypatch):
+    # one sample one ulp off its mirror image makes the datum uneven: it
+    # takes the full grid's path, bit for bit
+    vals = gaussian(grid_128, 2.0, 1.0).values.copy()
+    j = grid_128.n // 2 + 3
+    vals[j, j - 4] = np.nextafter(vals[j, j - 4].real, np.inf)
+    f = Field(grid_128, vals)
+    assert not evolution._is_even(f.values)
+
+    def run():
+        rec = evolve(f, 0.05, StepControls(dt_max=2e-3), gs_cert,
+                     ProbeSpec(cadence=0.025, snapshot_times=(0.05,)))
+        return rec, step_strang(f, 2e-3).values
+
+    uneven, uneven_step = run()
+    monkeypatch.setattr(evolution, "_is_even", lambda v: False)
+    full, full_step = run()
+    assert uneven.steps_taken == full.steps_taken
+    assert np.array_equal(uneven.snapshots[-1].values, full.snapshots[-1].values)
+    assert np.array_equal(uneven_step, full_step)
+    for c in uneven.columns:
+        assert getattr(uneven, c) == getattr(full, c)
 
 
 @pytest.mark.parametrize("variance", [True, False],

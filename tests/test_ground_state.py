@@ -13,6 +13,7 @@ tolerance 1e-13 and pinned here as a regression guard):
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -92,6 +93,23 @@ def test_q_of_is_scipys_spline_bit_for_bit(shooting_profile):
     assert np.array_equal(p.q_of(beyond), np.zeros(3))
 
 
+def test_interval_is_searchsorted(shooting_profile):
+    # the spline piece q_of reads, found from the two uniform runs of
+    # breakpoints, is searchsorted's on every radius of 512^2 grids, on the
+    # breakpoints and on their neighbours either side
+    p = shooting_profile
+    m = p.c.shape[1]
+
+    def want(r):
+        return np.clip(np.searchsorted(p.x, r, "right") - 1, 0, m - 1)
+
+    radii = [np.clip(lam * SpectralGrid(512, L).R.ravel(), 0.0, p.r_max)
+             for L in (32.0, 48.0, 64.0) for lam in (1.0, 0.8, 1.3)]
+    radii += [p.x, np.nextafter(p.x[1:], 0.0), np.nextafter(p.x[:-1], np.inf)]
+    for r in radii:
+        assert np.array_equal(p.interval(r), want(r))
+
+
 def s_monotone_decay(p) -> bool:
     r = np.linspace(0.0, 12.0, 200)
     q = p.q_of(r)
@@ -112,6 +130,15 @@ def test_grid_norms_match_radial_oracle(gs_cert):
     assert gs_cert.energyQ == pytest.approx(ENERGY_Q, rel=1e-7)
     assert gs_cert.c_gn == pytest.approx(C_GN, rel=1e-6)
     assert gs_cert.qq_gq == pytest.approx(QQ_GQ, rel=1e-7)
+
+
+def test_ground_state_is_even_to_the_bit(gs_cert, gs_cache):
+    # Q is symmetrized once, so Q and the data built from it step on the
+    # quadrant; the cache keeps it so
+    from nls2d.evolution import _is_even
+
+    assert _is_even(gs_cert.field.values)
+    assert _is_even(load_ground_state(gs_cache).field.values)
 
 
 def test_pohozhaev_identities(gs_cert):
@@ -341,6 +368,28 @@ def test_cache_requires_sidecar(gs_cert, tmp_path):
     os.remove(path + ".json")
     with pytest.raises(CertificationError, match="sidecar"):
         load_ground_state(path)
+
+
+def test_cache_write_hashes_the_bytes_it_writes(gs_cert, tmp_path, monkeypatch):
+    # the sidecar's checksum is the sha256 of the checkpoint file, taken
+    # as the bytes are written: the checkpoint is never read back
+    path = str(tmp_path / "gs.nls2")
+    reads = []
+    real_open = open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if "r" in mode:
+            reads.append(os.fspath(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    save_ground_state(gs_cert, path)
+    monkeypatch.undo()
+    assert reads == []
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    with open(path + ".json") as fh:
+        assert json.load(fh)["checksum"] == digest
 
 
 def test_cache_load_opens_the_checkpoint_once(gs_cache, monkeypatch):
