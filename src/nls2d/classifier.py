@@ -18,7 +18,8 @@ import numpy as np
 from .grid import Field, atomic_open, boundary_mass_fraction, moments
 from .functionals import RenormalizedSet, renormalized, window_check
 from .diagnostics import radial_asymmetry
-from .evolution import BLOWUP_DETECTED, RAN_TO_T_END, UNDERRESOLVED
+from .evolution import (BLOWUP_DETECTED, GRAD_BLOWUP_FACTOR, RAN_TO_T_END,
+                        UNDERRESOLVED)
 
 CASE_SCATTER = "scatter"
 CASE_BLOWUP = "blowup_or_diverge"
@@ -90,12 +91,7 @@ def classify(f: Field, gs, tol: float = 1e-4) -> Verdict:
     # admissible window is checked on the zero-momentum reduction; the
     # reduced invariants follow algebraically: removing the traveling-frame
     # kinetic part shifts ME by -2 Pn^2 and G^2 by -Pn^2, exactly
-    rw = RenormalizedSet(
-        G=float(np.sqrt(max(g2, 0.0))),
-        Pn=0.0,
-        ME=me2,
-        Pn_vec=np.zeros(2),
-    )
+    rw = RenormalizedSet(G=float(np.sqrt(max(g2, 0.0))), Pn=0.0, ME=me2)
     window = window_check(rw, tol=tol)
 
     if window.status != "inside":
@@ -123,8 +119,7 @@ def classify(f: Field, gs, tol: float = 1e-4) -> Verdict:
     )
 
 
-def reconcile(verdict: Verdict, rec, scatter_report=None,
-              grad_factor: float = 25.0) -> str:
+def reconcile(verdict: Verdict, rec, scatter_report=None) -> str:
     """Compare a verdict with a simulated outcome: agree/disagree/inconclusive.
 
     Contradictory evidence (scatter verdict but blow-up detected, or blow-up
@@ -140,7 +135,8 @@ def reconcile(verdict: Verdict, rec, scatter_report=None,
         return "inconclusive"
 
     blow_seen = rec.outcome == BLOWUP_DETECTED
-    grad_grew = bool(rec.grad_sq and max(rec.grad_sq) >= grad_factor * rec.grad_sq[0])
+    grad_grew = bool(rec.grad_sq
+                     and max(rec.grad_sq) >= GRAD_BLOWUP_FACTOR * rec.grad_sq[0])
     scatter_seen = scatter_report is not None and scatter_report.verdict == "scatter_like"
 
     if verdict.case == CASE_SCATTER:

@@ -80,6 +80,8 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError(["seed: must be nonnegative"])
             cfg["seed"] = args.seed
+        if args.command == "sweep" and args.workers is not None and args.workers < 1:
+            raise ConfigError(["workers: must be positive"])
         out = _resolve_out(cfg, args)
 
         if args.command == "ground":

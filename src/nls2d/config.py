@@ -3,7 +3,13 @@
 A single config file drives every CLI entry point, so each artifact is
 reproducible from one document plus a seed.  Each key's type, default,
 doc and check are declared once, in SCHEMA; the `controls` defaults are
-StepControls's own.  Validation collects every offending key before failing.
+StepControls's own.  A threshold that no run varies is a constant of the
+module that reads it, not a key: the datum's boundary tolerance
+(`ground_state.BOUNDARY_TOL`), the fixed-point solver's tolerance and
+iteration cap (`solve_petviashvili`'s defaults), the blow-up detector's
+gradient factor (`evolution.GRAD_BLOWUP_FACTOR`) and the cap on kappa
+(`diagnostics.KAPPA0`).  Validation collects every offending key before
+failing.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, NamedTuple
 
+from .diagnostics import KAPPA0
 from .evolution import StepControls
 
 
@@ -61,8 +68,6 @@ SCHEMA: dict[str, Any] = {
                       "path to a cached profile (null: solve fresh)"),
         "n": Item((int,), 512, "solver grid points per axis", _power_of_two),
         "L": Item((int, float), 48.0, "solver box size", _positive),
-        "tol": Item((float,), 1e-10, "fixed-point relative residual target", _fraction),
-        "max_iter": Item((int,), 500, "fixed-point iteration cap", _positive),
     },
     "initial_data": {
         "family": Item((str,), "scaled_q", "one of " + ", ".join(_FAMILIES),
@@ -77,9 +82,6 @@ SCHEMA: dict[str, Any] = {
                       "nonlinear phase budget per step: dt <= c/||u||_inf^4", _fraction),
         "tail_max": Item((float,), StepControls.tail_max,
                          "spectral tail fraction treated as resolution loss", _fraction),
-        "grad_blowup_factor": Item((float,), StepControls.grad_blowup_factor,
-                                   "gradient growth factor that signals blow-up",
-                                   lambda v: None if v > 1 else "must exceed 1"),
     },
     "probes": {
         "cadence": Item((float,), 0.05, "time between recorded samples", _positive),
@@ -89,8 +91,6 @@ SCHEMA: dict[str, Any] = {
                                "virial trace stride in probes (null: 4)", _positive),
     },
     "t_end": Item((int, float), 5.0, "integration horizon", _positive),
-    "boundary_tol": Item((float,), 1e-6, "admissibility: boundary sup <= tol * field sup",
-                         _fraction),
     "diagnostics": {
         "virial": Item((bool,), False, "emit virial.csv from the stored snapshots"),
         "virial_R": Item((int, float, type(None)), None,
@@ -106,8 +106,8 @@ SCHEMA: dict[str, Any] = {
         "bound_R": Item((int, float, type(None)), None,
                         "cutoff radius for the time bound (null: L/4)", _positive),
         "kappa": Item((float,), 0.05, "exterior-gradient budget of the time bound",
-                      _fraction),
-        "kappa0": Item((float,), 0.1, "cap on admissible kappa", _fraction),
+                      lambda v: None if 0.0 < v < KAPPA0
+                      else f"must lie in (0, {KAPPA0:g})"),
     },
     "seed": Item((int,), 0, "base seed for randomized perturbations", _nonnegative),
     "workers": Item((int, type(None)), None, "sweep parallelism (null: cpu count)",
@@ -182,10 +182,8 @@ def validate_config(user: dict) -> dict:
         StepControls(**merged["controls"])
     except ValueError as exc:
         problems.append(f"controls: {exc}")
-    d = merged["diagnostics"]
-    if not (d["kappa"] < d["kappa0"]):
-        problems.append("diagnostics: need kappa < kappa0")
-    if d["window"] is not None and d["window"][1] > merged["t_end"]:
+    window = merged["diagnostics"]["window"]
+    if window is not None and window[1] > merged["t_end"]:
         problems.append("diagnostics.window: T2 exceeds t_end")
     if problems:
         raise ConfigError(problems)

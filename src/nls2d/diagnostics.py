@@ -261,16 +261,19 @@ def energy_gradient_bounds_check(rec, energy0: float, ME: float) -> BoundsMargin
 # ---------------------------------------------------------------------------
 # blow-up time bound from the localized variance
 
-def blowup_time_bound(f: Field, gs, R: float | None, kappa: float,
-                      kappa0: float = 0.1):
+KAPPA0 = 0.1  # cap on the exterior-gradient budget kappa of the time bound
+
+
+def blowup_time_bound(f: Field, gs, R: float | None, kappa: float):
     """Upper bound t_b on the forward blow-up time for line data above threshold.
 
     For a datum on the mass-invariant scaling line with lam > 1 the scaled
     localized variance V_R = z_R / (32 E[Q] lam^2 (lam^2 - 1 - kappa))
     vanishes by t_b = V_R'(0) + sqrt(V_R'(0)^2 + 2 V_R(0)), provided the
-    exterior gradient stays within the kappa budget; the cutoff radius R
-    defaults to L/4.  Returns (t_b, info) with t_b None when the hypotheses
-    are not verifiable at t = 0.
+    exterior gradient stays within the kappa budget, and kappa below
+    min(lam - 1, KAPPA0); the cutoff radius R defaults to L/4.  Returns
+    (t_b, info) with t_b None when the hypotheses are not verifiable at
+    t = 0.
     """
     fh = fft.fft2(f.values)
     m = moments(f, fh)
@@ -279,10 +282,10 @@ def blowup_time_bound(f: Field, gs, R: float | None, kappa: float,
         raise ValueError("bound applies above threshold (ME < 1, G(0) > 1)")
     lam_sq = 1.0 + np.sqrt(1.0 - rn.ME)
     lam = float(np.sqrt(lam_sq))
-    if kappa >= min(lam - 1.0, kappa0):
+    if kappa >= min(lam - 1.0, KAPPA0):
         raise ValueError(
-            f"kappa = {kappa:g} must stay below min(lam - 1, kappa0) = "
-            f"{min(lam - 1.0, kappa0):g}"
+            f"kappa = {kappa:g} must stay below min(lam - 1, KAPPA0) = "
+            f"{min(lam - 1.0, KAPPA0):g}"
         )
     g = f.grid
     R = _cutoff_radius(R, g)

@@ -45,10 +45,6 @@ class RenormalizedSet:
     G: float
     Pn: float          # Euclidean magnitude of the renormalized momentum
     ME: float
-    Pn_vec: np.ndarray  # per-component renormalized momentum
-
-    def __post_init__(self):
-        object.__setattr__(self, "Pn_vec", np.asarray(self.Pn_vec, dtype=float))
 
 
 def conserved(f: Field) -> ConservedSet:
@@ -67,9 +63,9 @@ def renormalized(m: Moments, gs) -> RenormalizedSet:
         raise ValueError("ground state is not certified")
     qq_gq = gs.qq_gq  # ||Q|| ||grad Q||
     G = float(np.sqrt(m.mass * m.grad_sq) / qq_gq)
-    pn_vec = np.array([m.px, m.py]) / qq_gq
+    Pn = float(np.hypot(m.px / qq_gq, m.py / qq_gq))
     ME = m.mass * m.energy / (gs.massQ * gs.energyQ)
-    return RenormalizedSet(G=G, Pn=float(np.hypot(*pn_vec)), ME=float(ME), Pn_vec=pn_vec)
+    return RenormalizedSet(G=G, Pn=Pn, ME=float(ME))
 
 
 def galilean_boost(f: Field, xi) -> Field:

@@ -120,7 +120,8 @@ class Moments:
 
 def moments(f: Field, fh: np.ndarray | None = None) -> Moments:
     """Mass, gradient norm, L6 integral, momentum and spectral tail of f;
-    fh is fft2(f.values) if the caller holds it, and is only read."""
+    fh, if the caller holds it, is only read and need only carry the moduli
+    of fft2(f.values), as every sum here is one of |fh|^2."""
     g = f.grid
     if fh is None:
         fh = fft.fft2(f.values)

@@ -45,6 +45,7 @@ _R_ORIGIN = 1e-8
 _TAIL_THRESHOLD = 1e-6   # switch to the K0 asymptotic once Q drops below this
 _R_MAX = 40.0
 _Q_CHUNK = 1 << 15    # radii per q_of pass
+BOUNDARY_TOL = 1e-6   # a datum's boundary sup may be at most this times its sup
 
 
 def _radial_rhs(r, y):
@@ -217,7 +218,6 @@ class GroundState:
     c_gn: float
     certified: bool
     residuals: np.ndarray    # the five identity residuals, relative
-    method: str
     tol: float
     sup_err_vs_oracle: float
     s_final: float           # Petviashvili stabilizing factor at the last iterate
@@ -253,7 +253,7 @@ def pohozhaev_check(gs: GroundState) -> np.ndarray:
     return _identity_residuals(gs.massQ, gs.gradQ_sq, gs.l6Q_6)
 
 
-def _certify(f: Field, profile: RadialProfile, method: str, tol: float,
+def _certify(f: Field, profile: RadialProfile, tol: float,
              s_final: float) -> GroundState:
     """The ground state of a grid solution, certified against the oracle.
 
@@ -274,7 +274,6 @@ def _certify(f: Field, profile: RadialProfile, method: str, tol: float,
         c_gn=3.0 / (4.0 * m.mass**2),
         certified=certified,
         residuals=residuals,
-        method=method,
         tol=tol,
         sup_err_vs_oracle=sup_err,
         s_final=s_final,
@@ -334,7 +333,7 @@ def solve_petviashvili(
         u += np.take(u, flip, axis=axis)
         u *= 0.5
     f = Field(grid, u.astype(np.complex128), 0.0)
-    return _certify(f, profile, "petviashvili", tol, float(S))
+    return _certify(f, profile, tol, float(S))
 
 
 def gn_inequality_check(f: Field, gs: GroundState) -> float:
@@ -355,7 +354,6 @@ def make_initial_data(
     grid: SpectralGrid,
     gs: GroundState | None = None,
     seed: int | None = None,
-    boundary_tol: float = 1e-6,
 ) -> Field:
     """Build an initial-data field from one of the named families.
 
@@ -366,15 +364,13 @@ def make_initial_data(
       boosted      {"inner": {...}, "xi": [x, y]}  inner family times exp(i xi.x)
 
     The result must decay at the box boundary (sup over the outer ring below
-    boundary_tol relative to the field's own sup); otherwise the box is too
+    BOUNDARY_TOL relative to the field's own sup); otherwise the box is too
     small for the requested datum and a ValueError is raised.
     """
     if family == "boosted":
         inner = params["inner"]
-        sub = make_initial_data(
-            inner["family"], inner.get("params", {}), grid, gs,
-            seed=seed, boundary_tol=boundary_tol,
-        )
+        sub = make_initial_data(inner["family"], inner.get("params", {}), grid,
+                                gs, seed=seed)
         return galilean_boost(sub, np.asarray(params["xi"], dtype=float))
 
     if family == "scaled_q":
@@ -401,10 +397,10 @@ def make_initial_data(
 
     f = Field(grid, vals.astype(np.complex128), 0.0)
     sup = float(np.max(np.abs(vals)))
-    if sup == 0.0 or boundary_sup(f) > boundary_tol * sup:
+    if sup == 0.0 or boundary_sup(f) > BOUNDARY_TOL * sup:
         raise ValueError(
             f"box L={grid.L:g} too small for family {family!r}: boundary level "
-            f"{boundary_sup(f) / max(sup, 1e-300):.2e} exceeds {boundary_tol:g}"
+            f"{boundary_sup(f) / max(sup, 1e-300):.2e} exceeds {BOUNDARY_TOL:g}"
         )
     return f
 
@@ -423,7 +419,6 @@ def save_ground_state(gs: GroundState, path: str) -> None:
         "l6Q_6": gs.l6Q_6,
         "c_gn": gs.c_gn,
         "residuals": [float(v) for v in gs.residuals],
-        "method": gs.method,
         "tol": gs.tol,
         "certified": gs.certified,
         "n": gs.field.grid.n,
@@ -473,5 +468,5 @@ def load_ground_state(path: str) -> GroundState:
     m = (table.size - 1) // 5
     profile = RadialProfile(table[: m + 1], table[m + 1:].reshape(4, m), *(
         float(sidecar["shooting"][k]) for k in ("q0", "c_tail", "r_switch")))
-    return _certify(parse_checkpoint(checkpoint), profile, str(sidecar["method"]),
-                    float(sidecar["tol"]), float(sidecar["s_final"]))
+    return _certify(parse_checkpoint(checkpoint), profile, float(sidecar["tol"]),
+                    float(sidecar["s_final"]))

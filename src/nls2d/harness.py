@@ -58,7 +58,7 @@ def prepare_ground_state(cfg: dict):
         gs = load_ground_state(gscfg["cache"])
     else:
         grid = SpectralGrid(gscfg["n"], gscfg["L"])
-        gs = solve_petviashvili(grid, tol=gscfg["tol"], max_iter=gscfg["max_iter"])
+        gs = solve_petviashvili(grid)
     if not gs.certified:
         raise CertificationError(
             "ground state failed certification: residuals "
@@ -110,8 +110,7 @@ def run_single(cfg: dict, gs, out_dir: str, seed: int) -> dict:
     grid = SpectralGrid(cfg["grid"]["n"], cfg["grid"]["L"])
     family = cfg["initial_data"]["family"]
     params = cfg["initial_data"]["params"]
-    f = make_initial_data(family, params, grid, gs=gs, seed=seed,
-                          boundary_tol=cfg["boundary_tol"])
+    f = make_initial_data(family, params, grid, gs=gs, seed=seed)
 
     verdict = classify(f, gs)
     write_verdict_json(verdict, os.path.join(out_dir, "verdict.json"))
@@ -120,13 +119,11 @@ def run_single(cfg: dict, gs, out_dir: str, seed: int) -> dict:
     bound_info = None
     if diag["blowup_bound"]:
         try:
-            t_b, info = blowup_time_bound(f, gs, diag["bound_R"], diag["kappa"],
-                                          diag["kappa0"])
+            t_b, info = blowup_time_bound(f, gs, diag["bound_R"], diag["kappa"])
             bound_info = {"t_b": t_b, **{k: v for k, v in info.items()}}
         except ValueError as exc:
             bound_info = {"t_b": None, "reason": str(exc)}
 
-    controls = StepControls(**cfg["controls"])
     cadence = cfg["probes"]["cadence"]
     scatter_times: tuple = ()
     if diag["scattering"]:
@@ -142,7 +139,7 @@ def run_single(cfg: dict, gs, out_dir: str, seed: int) -> dict:
         variance=cfg["probes"]["variance"],
         snapshot_times=tuple(sorted(set(scatter_times + virial_times))),
     )
-    rec = evolve(f, cfg["t_end"], controls, gs, probes)
+    rec = evolve(f, cfg["t_end"], StepControls(**cfg["controls"]), gs, probes)
     write_trajectory_csv(rec, os.path.join(out_dir, "trajectory.csv"))
 
     scatter_report = None
@@ -172,8 +169,7 @@ def run_single(cfg: dict, gs, out_dir: str, seed: int) -> dict:
         except ValueError as exc:
             virial_note = str(exc)
 
-    agreement = reconcile(verdict, rec, scatter_report,
-                          grad_factor=controls.grad_blowup_factor)
+    agreement = reconcile(verdict, rec, scatter_report)
 
     report = {
         "family": family,

@@ -55,8 +55,8 @@ def test_cross_field_checks():
     # a value the key's own check takes but the step controls reject
     with pytest.raises(ConfigError, match=r"controls: tail_max must lie in \(0, 0\.1\]"):
         validate_config({"controls": {"tail_max": 0.5}})
-    with pytest.raises(ConfigError, match="kappa < kappa0"):
-        validate_config({"diagnostics": {"kappa": 0.2, "kappa0": 0.1}})
+    with pytest.raises(ConfigError, match=r"diagnostics.kappa: must lie in \(0, 0\.1\)"):
+        validate_config({"diagnostics": {"kappa": 0.2}})
     with pytest.raises(ConfigError, match="exceeds t_end"):
         validate_config({"t_end": 1.0, "diagnostics": {"window": [0.0, 2.0]}})
 
@@ -89,8 +89,18 @@ def test_explain_config_is_complete_and_parses():
                 "controls.dt_min", "probes.cadence", "diagnostics.window",
                 "sweep.lambdas", "t_end", "seed", "output_dir"):
         assert key in text
-    for deleted in ("dt0", "shooting_tol"):
+    for deleted in ("dt0", "shooting_tol", "boundary_tol", "ground_state.tol",
+                    "max_iter", "kappa0", "grad_blowup_factor"):
         assert deleted not in text
+    # the thresholds that became constants are unknown keys
+    for path in ("boundary_tol", "ground_state.tol", "ground_state.max_iter",
+                 "diagnostics.kappa0", "controls.grad_blowup_factor"):
+        *parents, key = path.split(".")
+        user = {key: 0.5}
+        for parent in reversed(parents):
+            user = {parent: user}
+        with pytest.raises(ConfigError, match=f"{path}: unknown key"):
+            validate_config(user)
     # L is the full side of the box, not a half-width
     assert "half-width" not in text
     # the trailing block is the full default config as valid JSON

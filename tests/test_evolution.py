@@ -48,8 +48,6 @@ def test_step_controls_validation():
     with pytest.raises(ValueError):
         StepControls(tail_max=0.5)
     with pytest.raises(ValueError):
-        StepControls(grad_blowup_factor=1.0)
-    with pytest.raises(ValueError):
         StepControls(scheme="euler")
 
 

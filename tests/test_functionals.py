@@ -112,24 +112,23 @@ def test_boost_me_identity(gs_cert):
 
 
 def test_window_check_requires_reduced():
-    r = RenormalizedSet(G=1.0, Pn=0.5, ME=0.5, Pn_vec=np.array([0.5, 0.0]))
+    r = RenormalizedSet(G=1.0, Pn=0.5, ME=0.5)
     with pytest.raises(ValueError, match="reduced"):
         window_check(r)
 
 
 def test_window_check_statuses():
-    zero = np.zeros(2)
     # the admissible window for G = 0.5 is 0.4375 <= ME <= 0.5
-    inside = RenormalizedSet(G=0.5, Pn=0.0, ME=0.45, Pn_vec=zero)
+    inside = RenormalizedSet(G=0.5, Pn=0.0, ME=0.45)
     assert window_check(inside).status == "inside"
-    low = RenormalizedSet(G=0.5, Pn=0.0, ME=0.4, Pn_vec=zero)
+    low = RenormalizedSet(G=0.5, Pn=0.0, ME=0.4)
     rep = window_check(low)
     assert rep.status == "violates_lower"
     assert rep.lower_margin == pytest.approx(0.4 - (0.5 - 0.0625))
-    high = RenormalizedSet(G=0.5, Pn=0.0, ME=0.6, Pn_vec=zero)
+    high = RenormalizedSet(G=0.5, Pn=0.0, ME=0.6)
     assert window_check(high).status == "violates_upper"
     # tolerance turns a hairline violation into "inside"
-    hairline = RenormalizedSet(G=0.5, Pn=0.0, ME=0.4375 - 1e-9, Pn_vec=zero)
+    hairline = RenormalizedSet(G=0.5, Pn=0.0, ME=0.4375 - 1e-9)
     assert window_check(hairline, tol=1e-8).status == "inside"
 
 

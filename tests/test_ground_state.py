@@ -334,14 +334,17 @@ def test_a_run_loads_q_without_the_ode_stack(gs_cache):
 
 
 def test_cache_loads_a_sidecar_with_a_shooting_tol(gs_cert, tmp_path):
-    # an older sidecar carries "tol" under "shooting", which nothing reads;
-    # it must load and certify as a fresh solve does
+    # an older sidecar carries "tol" under "shooting" and the solver's
+    # "method", which nothing reads; it must load and certify as a fresh
+    # solve does
     path = str(tmp_path / "gs.nls2")
     save_ground_state(gs_cert, path)
     with open(path + ".json") as fh:
         sidecar = json.load(fh)
     assert "tol" not in sidecar["shooting"]
+    assert "method" not in sidecar
     sidecar["shooting"]["tol"] = 1e-12
+    sidecar["method"] = "petviashvili"
     with open(path + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2)
     back = load_ground_state(path)

@@ -330,6 +330,19 @@ def test_cli_negative_seed(gs_cache, tmp_path, capsys):
     assert rc == 2
 
 
+def test_cli_sweep_rejects_nonpositive_workers(tmp_path, capsys):
+    # checked before anything runs: an empty sweep would otherwise fail at
+    # run time (exit 4), and a valid one fall back to the config or run serially
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"sweep": {"lambdas": []}}))
+    for workers in ("0", "-2"):
+        rc = main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "sweep"),
+                   "--workers", workers])
+        assert rc == 2
+        assert "workers: must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_cli_certification_exit(tmp_path, capsys):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"ground_state": {"n": 256, "L": 32.0}}))
