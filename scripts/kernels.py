@@ -15,10 +15,13 @@ its 257^2 quadrant: the `quadrant_` rows time the DCT-I pair, a phase
 stage, the three steps there, and the unfolding of a probe's field and
 spectrum; the full-grid rows time the FFT path that uneven data take.
 
-The cold path a run pays before its first step has three rows: loading a
-ground-state cache that the script solves and writes once (512/48),
-`q_of` on the 512/32 grid's radii, and the wall time of `import nls2d.cli`
-in a fresh interpreter that has numpy loaded already (median of 5).
+The set-up of a ground state and the cold path a run pays before its first
+step have four rows: `solve_petviashvili` on the 512/48 grid from the
+shooting profile (its certification included, the radial shooting not),
+loading a ground-state cache that the script solves and writes once
+(512/48), `q_of` on the 512/32 grid's radii, and the wall time of
+`import nls2d.cli` in a fresh interpreter that has numpy loaded already
+(median of 5).
 """
 
 from __future__ import annotations
@@ -123,7 +126,11 @@ medians = {
 }
 with tempfile.TemporaryDirectory() as tmp:
     cache = os.path.join(tmp, "ground_state.nls2")
-    gs = solve_petviashvili(SpectralGrid(512, 48.0), profile=solve_radial_shooting())
+    grid_q, profile = SpectralGrid(512, 48.0), solve_radial_shooting()
+    medians["solve_petviashvili"] = median_ms(
+        lambda p: solve_petviashvili(grid_q, profile=p), lambda: profile,
+        repeats=7)
+    gs = solve_petviashvili(grid_q, profile=profile)
     save_ground_state(gs, cache)
     medians["load_ground_state"] = median_ms(load_ground_state, lambda: cache,
                                              repeats=7)

@@ -34,7 +34,6 @@ from .ground_state import (
     gn_inequality_check,
     load_ground_state,
     make_initial_data,
-    pohozhaev_check,
     save_ground_state,
     solve_petviashvili,
     solve_radial_shooting,

@@ -42,9 +42,12 @@ A datum even in x and in y to the bit, v[j] == v[-j mod n] on both axes,
 stays even under both sub-flows, so it steps on its (n/2+1)^2 quadrant
 j = n/2 ... n in the DCT-I basis (Boyd 2001, ch. 8), where the sum bound
 counts a coefficient once at k = 0 and k = n/2 and twice elsewhere, per
-axis.  A quadrant stage costs two DCT-I transforms at 257^2, about half of
-two FFTs at 512^2, and a quarter of the elementwise work: a fixed-dt Strang
-step at 512 took 4-7 ms against 11-14 ms on a shared two-core machine.
+axis.  The quadrant's layout (`grid.fold`, `grid.unfold` and
+`grid.multiplicity`) lives in `grid`, shared with the ground-state solve,
+which runs on the quadrant too.  A quadrant stage costs two DCT-I
+transforms at 257^2, about half of two FFTs at 512^2, and a quarter of the
+elementwise work: a fixed-dt Strang step at 512 took 4-7 ms against
+11-14 ms on a shared two-core machine.
 Every other datum steps on the full grid, bit for bit as before the
 quadrant.  Probes unfold the quadrant, so they and every diagnostic read
 full-grid fields, and `moments` a spectrum with the full grid's moduli.
@@ -65,7 +68,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import fft
 
-from .grid import Field, Moments, atomic_open, moments, variance, write_float_csv
+from .grid import (Field, Moments, atomic_open, fold, moments, multiplicity,
+                   unfold, variance, write_float_csv)
 
 
 # stage sizes gamma_j (fractions of dt) of symmetric compositions of the
@@ -231,11 +235,9 @@ def _basis(f: Field) -> Basis:
     if not _is_even(f.values):
         # 1 / n^2 is a power of two, so it scales the sum of |w| exactly
         return Basis(fft.fft2, fft.ifft2, f.grid.k1d, 1.0 / n**2)
-    h = n // 2
-    # k = 0 and k = n/2 stand for one full-grid coefficient, the rest for two
-    m = np.where(np.arange(h + 1) % h, 2.0, 1.0)
-    return Basis(_dct1(fft.dctn), _dct1(fft.idctn), f.grid.k1d[:h + 1],
-                 np.outer(m, m) / n**2, lambda a: a[h::-1, h::-1], _unfold)
+    m = multiplicity(n)
+    return Basis(_dct1(fft.dctn), _dct1(fft.idctn), f.grid.k1d[:len(m)],
+                 np.outer(m, m) / n**2, fold, unfold)
 
 
 def _dct1(transform) -> Callable:
@@ -246,15 +248,6 @@ def _dct1(transform) -> Callable:
         y = transform(pairs, type=1, axes=(0, 1), overwrite_x=overwrite_x)
         return y.view(np.complex128)[..., 0]
     return run
-
-
-def _unfold(q: np.ndarray, spectrum: bool = False) -> np.ndarray:
-    """The even n x n array of which q is the quadrant.  Index j of a field
-    is the quadrant's |j - n/2|.  Index k of a spectrum is its min(k, n - k)
-    up to a sign of (-1)^k per axis, because the grid's origin sits at
-    j = n/2; the sign is left out, as `moments` reads only |uh|^2."""
-    h = len(q) - 1
-    return np.pad(q if spectrum else q[::-1, ::-1], (0, h - 1), mode="reflect")
 
 
 def _sum_bound4(w: np.ndarray, weight) -> float:

@@ -5,6 +5,11 @@ periodic box of side L with n points per axis, large enough that the fields
 of interest decay below roundoff before they reach the boundary.  All
 derivatives are Fourier multipliers and all integrals are the rectangle rule
 dx^2 * sum, which is spectrally accurate for smooth periodic integrands.
+
+The origin sits at j = n/2, so a field even in x and in y is fixed by its
+(n/2+1)^2 quadrant j = n/2 ... n: `fold` indexes it by |j - n/2|, `unfold`
+extends it back, and a quadrant sample or DCT-I coefficient (Boyd 2001,
+ch. 8) stands for `multiplicity` of the grid's per axis.
 """
 
 from __future__ import annotations
@@ -70,6 +75,31 @@ class SpectralGrid:
 
     def __repr__(self):
         return f"SpectralGrid(n={self.n}, L={self.L})"
+
+    def __reduce__(self):
+        # the arrays follow from n and L, so a pickle carries only those
+        return SpectralGrid, (self.n, self.L)
+
+
+def fold(a: np.ndarray) -> np.ndarray:
+    """The quadrant of an n x n array, index i at |j - n/2| = i per axis."""
+    h = len(a) // 2
+    return a[h::-1, h::-1]
+
+
+def unfold(q: np.ndarray, spectrum: bool = False) -> np.ndarray:
+    """The even n x n array of which q is the quadrant.  Index j of a field
+    is the quadrant's |j - n/2|.  Index k of a spectrum is its min(k, n - k)
+    up to a sign of (-1)^k per axis, because the grid's origin sits at
+    j = n/2; the sign is left out, as `moments` reads only |uh|^2."""
+    h = len(q) - 1
+    return np.pad(q if spectrum else q[::-1, ::-1], (0, h - 1), mode="reflect")
+
+
+def multiplicity(n: int) -> np.ndarray:
+    """How many of the grid's n indices per axis each quadrant index stands
+    for: 1 at 0 and n/2, 2 elsewhere."""
+    return np.where(np.arange(n // 2 + 1) % (n // 2), 2.0, 1.0)
 
 
 class Field:

@@ -7,6 +7,9 @@ radial, and exponentially decaying.  Two independent solvers compute it:
   Q'' + Q'/r - Q + Q^5 = 0, with a Bessel K0 far-field graft), and
 * a spectral Petviashvili fixed-point iteration on the 2D grid.
 
+The iteration runs on the grid's (n/2+1)^2 quadrant in the DCT-I basis,
+and the grid's Q is that quadrant unfolded, so it is even to the bit.
+
 Certification requires the two to agree in sup norm and the grid solution
 to satisfy the ground-state integral identities (Pohozhaev relations) to
 1e-6 relative.  The certified object also carries the sharp
@@ -28,8 +31,11 @@ from .grid import (
     SpectralGrid,
     atomic_open,
     boundary_sup,
+    fold,
     moments,
+    multiplicity,
     parse_checkpoint,
+    unfold,
     write_checkpoint,
 )
 from .functionals import galilean_boost
@@ -98,27 +104,16 @@ class RadialProfile:
     def r_max(self) -> float:
         return float(self.x[-1])
 
-    def interval(self, r: np.ndarray) -> np.ndarray:
-        """searchsorted(x, r, "right") - 1 clipped to m - 1 on [0, r_max]: the
-        breakpoints are two uniform runs (1e-3 apart, 1e-2 from r_switch),
-        so a division is off by at most one, either way."""
-        x, m = self.x, self.c.shape[1]
-        s = int(np.searchsorted(x, self.r_switch))  # the second run's start
-        i = np.where(r < x[s], r / x[1], s + (r - x[s]) / (x[s + 1] - x[s]))
-        i = np.minimum(i.astype(np.intp), m - 1)
-        i -= x[i] > r
-        i += (x[i + 1] <= r) & (i < m - 1)
-        return i
-
     def q_of(self, r) -> np.ndarray:
         """Evaluate Q at arbitrary radii (zero beyond the tabulated range)."""
         r = np.asarray(r, dtype=float)
         out = np.empty(r.shape)
         flat, dest = r.reshape(-1), out.reshape(-1)
+        last = self.c.shape[1] - 1  # the piece that r_max falls in
         # in chunks, so the temporaries stay small beside a 512^2 grid
         for a in range(0, flat.size, _Q_CHUNK):
             rc = np.clip(flat[a:a + _Q_CHUNK], 0.0, self.r_max)
-            i = self.interval(rc)
+            i = np.minimum(np.searchsorted(self.x, rc, "right") - 1, last)
             s = rc - self.x[i]
             c0, c1, c2, c3 = np.take(self.c, i, axis=1)
             # PPoly's power-sum order, not Horner's, so the bits are scipy's
@@ -218,7 +213,6 @@ class GroundState:
     c_gn: float
     certified: bool
     residuals: np.ndarray    # the five identity residuals, relative
-    tol: float
     sup_err_vs_oracle: float
     s_final: float           # Petviashvili stabilizing factor at the last iterate
 
@@ -233,7 +227,9 @@ class GroundState:
 
 
 def _identity_residuals(mass: float, grad_sq: float, l6: float) -> np.ndarray:
-    """Relative residuals of the five ground-state integral identities."""
+    """Relative residuals of the five ground-state integral identities, in
+    the order [L6 = 3M, L6 = M + grad^2, M E = M^2/2,
+    ||Q|| ||grad Q|| = sqrt(2) M, 4 E = grad^2]."""
     energy = 0.5 * grad_sq - l6 / 6.0
     return np.array([
         (l6 - 3.0 * mass) / (3.0 * mass),
@@ -244,17 +240,7 @@ def _identity_residuals(mass: float, grad_sq: float, l6: float) -> np.ndarray:
     ])
 
 
-def pohozhaev_check(gs: GroundState) -> np.ndarray:
-    """Relative residuals of the mass/gradient/L6 identities of the ground state.
-
-    Order: [L6 = 3M, L6 = M + grad^2, M E = M^2/2,
-            ||Q|| ||grad Q|| = sqrt(2) M, 4 E = grad^2].
-    """
-    return _identity_residuals(gs.massQ, gs.gradQ_sq, gs.l6Q_6)
-
-
-def _certify(f: Field, profile: RadialProfile, tol: float,
-             s_final: float) -> GroundState:
+def _certify(f: Field, profile: RadialProfile, s_final: float) -> GroundState:
     """The ground state of a grid solution, certified against the oracle.
 
     Certified when the five identity residuals are within 1e-6 relative and
@@ -274,7 +260,6 @@ def _certify(f: Field, profile: RadialProfile, tol: float,
         c_gn=3.0 / (4.0 * m.mass**2),
         certified=certified,
         residuals=residuals,
-        tol=tol,
         sup_err_vs_oracle=sup_err,
         s_final=s_final,
     )
@@ -290,50 +275,45 @@ def solve_petviashvili(
 
     Iterates uh <- S^gamma * (u^5)^hat / (1 + k^2) with the stabilizing
     factor S = <(1+k^2) uh, uh> / <(u^5)^hat, uh> and gamma = 5/4, from the
-    shooting profile sampled on the grid, on the real half spectrum (rfft2).
-    Converges when the relative L2 residual of -Q + lap Q + Q^5 drops below
-    tol.  An iteration costs 3 real FFTs: the residual's (u^5)^hat is the
-    next iteration's.  The result is certified against the shooting oracle
-    and the integral identities.
+    shooting profile sampled on the grid's quadrant, in its DCT-I basis,
+    where a sum counts each coefficient `multiplicity` times per axis, as
+    the full spectrum does.  Converges when the relative L2 residual of
+    -Q + lap Q + Q^5 drops below tol.  An iteration costs 3 DCT-I transforms
+    at (n/2+1)^2: the residual's (u^5)^hat is the next iteration's.  Q is
+    the quadrant unfolded, even to the bit by construction, and is
+    certified on every grid sample against the shooting oracle and the
+    integral identities.
     """
     if profile is None:
         profile = solve_radial_shooting()
     gamma = 1.25
-    n = grid.n
-    u = profile.q_of(grid.R)
-    # rfft2 keeps columns 0..n/2, each but the first and last for two
-    one_plus_k2 = 1.0 + grid.k1d[:, None] ** 2 + grid.k1d[: n // 2 + 1] ** 2
-    weight = np.full(n // 2 + 1, 2.0)
-    weight[[0, -1]] = 1.0
+    m = multiplicity(grid.n)
+    k = grid.k1d[:len(m)]
+    one_plus_k2 = 1.0 + k[:, None] ** 2 + k**2
+    weight = np.outer(m, m)
+    u = profile.q_of(fold(grid.R))
     res = np.inf
-    nlh = fft.rfft2(u**5)
+    nlh = fft.dctn(u**5, type=1)
     for _ in range(max_iter):
-        uh = fft.rfft2(u)
-        num = np.sum(weight * one_plus_k2 * np.abs(uh) ** 2)
-        den = np.sum(weight * np.real(np.conj(nlh) * uh))
+        uh = fft.dctn(u, type=1)
+        num = np.sum(weight * one_plus_k2 * uh**2)
+        den = np.sum(weight * nlh * uh)
         if den <= 0.0 or np.max(np.abs(u)) < 1e-2:
             raise CertificationError("iteration collapsed toward zero")
         S = num / den
         uh_new = S**gamma * nlh / one_plus_k2
-        u = fft.irfft2(uh_new, s=(n, n))
-        nlh = fft.rfft2(u**5)
-        res = np.sqrt(np.sum(weight * np.abs(nlh - one_plus_k2 * uh_new) ** 2)
-                      / np.sum(weight * np.abs(uh_new) ** 2))
+        u = fft.idctn(uh_new, type=1)
+        nlh = fft.dctn(u**5, type=1)
+        res = np.sqrt(np.sum(weight * (nlh - one_plus_k2 * uh_new) ** 2)
+                      / np.sum(weight * uh_new**2))
         if res <= tol:
             break
     else:
         raise CertificationError(
             f"no convergence in {max_iter} iterations (residual {res:.3e})"
         )
-
-    # even in x and in y to the bit (IEEE addition commutes), so that Q and
-    # the data built from it step on the quadrant
-    flip = -np.arange(n) % n
-    for axis in (0, 1):
-        u += np.take(u, flip, axis=axis)
-        u *= 0.5
-    f = Field(grid, u.astype(np.complex128), 0.0)
-    return _certify(f, profile, tol, float(S))
+    f = Field(grid, unfold(u).astype(np.complex128), 0.0)
+    return _certify(f, profile, float(S))
 
 
 def gn_inequality_check(f: Field, gs: GroundState) -> float:
@@ -419,7 +399,6 @@ def save_ground_state(gs: GroundState, path: str) -> None:
         "l6Q_6": gs.l6Q_6,
         "c_gn": gs.c_gn,
         "residuals": [float(v) for v in gs.residuals],
-        "tol": gs.tol,
         "certified": gs.certified,
         "n": gs.field.grid.n,
         "L": gs.field.grid.L,
@@ -468,5 +447,5 @@ def load_ground_state(path: str) -> GroundState:
     m = (table.size - 1) // 5
     profile = RadialProfile(table[: m + 1], table[m + 1:].reshape(4, m), *(
         float(sidecar["shooting"][k]) for k in ("q0", "c_tail", "r_switch")))
-    return _certify(parse_checkpoint(checkpoint), profile, float(sidecar["tol"]),
+    return _certify(parse_checkpoint(checkpoint), profile,
                     float(sidecar["s_final"]))

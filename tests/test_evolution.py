@@ -352,7 +352,7 @@ def test_sum_bound_is_the_full_grids(grid_128):
     # either axis, so its weighted sum is the full spectrum's sum |uh| / n^2
     f = gaussian(grid_128, 2.0, 1.0)
     basis = evolution._basis(f)
-    assert basis.unfold is evolution._unfold
+    assert basis.unfold is evolution.unfold
     want = np.sum(np.abs(np.fft.fft2(f.values))) / f.values.size
     got = evolution._sum_bound4(basis.forward(basis.fold(f.values)),
                                 basis.weight) ** 0.25

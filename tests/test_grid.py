@@ -9,6 +9,8 @@ These hold on the periodic box to spectral accuracy because the datum and
 its transform both decay far below roundoff before the boundary/Nyquist.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from nls2d import (
     spectral_gradient,
     write_checkpoint,
 )
+from nls2d.grid import fold, multiplicity, unfold
 
 
 def gaussian(grid, amp=1.0, width=1.0):
@@ -52,6 +55,30 @@ def test_grid_layout():
     dense = {name for name, v in vars(g).items()
              if isinstance(v, np.ndarray) and v.shape == (128, 128)}
     assert dense == {"R", "K2", "tail_mask"}
+
+
+def test_grid_pickles_as_n_and_l(gs_cert):
+    # a pickle carries n and L and the arrays are rebuilt from them, so a
+    # sweep row's ground state crosses to a worker without the grid's arrays
+    g = SpectralGrid(128, 32.0)
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g
+    for name in ("R", "k1d", "ikx", "tail_mask"):
+        assert np.array_equal(getattr(back, name), getattr(g, name))
+    assert len(pickle.dumps(g)) < 200
+    # Q's 4 MB of samples, and not the 512/48 grid's 4.3 MB of arrays
+    assert len(pickle.dumps(gs_cert)) < 5e6
+
+
+def test_quadrant_layout():
+    # an even field is its quadrant unfolded, and the quadrant's indices
+    # stand for all n of the grid's per axis
+    g = SpectralGrid(64, 16.0)
+    v = np.exp(-g.R**2) * (1.0 + g.X**2 * g.Y**4)
+    assert np.array_equal(unfold(fold(v)), v)
+    assert fold(v).shape == (33, 33) and fold(v)[0, 0] == v[32, 32]
+    m = multiplicity(g.n)
+    assert m.sum() == g.n and m[0] == m[-1] == 1.0 and set(m[1:-1]) == {2.0}
 
 
 def test_field_validation():

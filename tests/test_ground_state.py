@@ -31,7 +31,6 @@ from nls2d import (
     load_ground_state,
     make_initial_data,
     moments,
-    pohozhaev_check,
     save_ground_state,
     solve_petviashvili,
     solve_radial_shooting,
@@ -93,23 +92,6 @@ def test_q_of_is_scipys_spline_bit_for_bit(shooting_profile):
     assert np.array_equal(p.q_of(beyond), np.zeros(3))
 
 
-def test_interval_is_searchsorted(shooting_profile):
-    # the spline piece q_of reads, found from the two uniform runs of
-    # breakpoints, is searchsorted's on every radius of 512^2 grids, on the
-    # breakpoints and on their neighbours either side
-    p = shooting_profile
-    m = p.c.shape[1]
-
-    def want(r):
-        return np.clip(np.searchsorted(p.x, r, "right") - 1, 0, m - 1)
-
-    radii = [np.clip(lam * SpectralGrid(512, L).R.ravel(), 0.0, p.r_max)
-             for L in (32.0, 48.0, 64.0) for lam in (1.0, 0.8, 1.3)]
-    radii += [p.x, np.nextafter(p.x[1:], 0.0), np.nextafter(p.x[:-1], np.inf)]
-    for r in radii:
-        assert np.array_equal(p.interval(r), want(r))
-
-
 def s_monotone_decay(p) -> bool:
     r = np.linspace(0.0, 12.0, 200)
     q = p.q_of(r)
@@ -133,8 +115,8 @@ def test_grid_norms_match_radial_oracle(gs_cert):
 
 
 def test_ground_state_is_even_to_the_bit(gs_cert, gs_cache):
-    # Q is symmetrized once, so Q and the data built from it step on the
-    # quadrant; the cache keeps it so
+    # Q is solved on the quadrant and unfolded, so Q and the data built from
+    # it step on the quadrant; the cache keeps it so
     from nls2d.evolution import _is_even
 
     assert _is_even(gs_cert.field.values)
@@ -142,7 +124,7 @@ def test_ground_state_is_even_to_the_bit(gs_cert, gs_cache):
 
 
 def test_pohozhaev_identities(gs_cert):
-    assert np.max(np.abs(pohozhaev_check(gs_cert))) <= 1e-6
+    assert np.max(np.abs(gs_cert.residuals)) <= 1e-6
 
 
 def test_petviashvili_uncertified_on_coarse_grid(shooting_profile):
@@ -163,13 +145,19 @@ def test_petviashvili_seed_moves_the_iteration_count_not_the_answer(
 
     calls = []
 
-    def counted(*args, _fn=scipy.fft.rfft2, **kwargs):
-        calls.append(1)
+    def counted(*args, _fn=scipy.fft.dctn, **kwargs):
+        calls.append(args[0].shape)
         return _fn(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, "rfft2", counted)
+    def full_grid(*args, **kwargs):
+        raise AssertionError("the solve ran a full-grid transform")
+
+    monkeypatch.setattr(scipy.fft, "dctn", counted)
+    for name in ("rfft2", "irfft2"):
+        monkeypatch.setattr(scipy.fft, name, full_grid)
     gs = solve_petviashvili(grid_cert, tol=1e-10, profile=GaussianProfile())
     cold = len(calls)
+    assert set(calls) == {(grid_cert.n // 2 + 1,) * 2}  # the quadrant's
     calls.clear()
     solve_petviashvili(grid_cert, tol=1e-10, profile=shooting_profile)
     # two forward transforms an iteration, plus one before the loop
@@ -178,7 +166,7 @@ def test_petviashvili_seed_moves_the_iteration_count_not_the_answer(
 
 
 def test_petviashvili_residual_on_the_full_spectrum(gs_cert, grid_cert):
-    # the loop stops on a half-spectrum residual; the full complex spectrum
+    # the loop stops on the quadrant's residual; the full complex spectrum
     # of the answer must meet the same equation
     q = gs_cert.field.values.real
     qh = np.fft.fft2(q)
@@ -334,16 +322,17 @@ def test_a_run_loads_q_without_the_ode_stack(gs_cache):
 
 
 def test_cache_loads_a_sidecar_with_a_shooting_tol(gs_cert, tmp_path):
-    # an older sidecar carries "tol" under "shooting" and the solver's
-    # "method", which nothing reads; it must load and certify as a fresh
-    # solve does
+    # an older sidecar carries "tol" under "shooting", the solver's "tol"
+    # and its "method", which nothing reads; it must load and certify as a
+    # fresh solve does
     path = str(tmp_path / "gs.nls2")
     save_ground_state(gs_cert, path)
     with open(path + ".json") as fh:
         sidecar = json.load(fh)
     assert "tol" not in sidecar["shooting"]
-    assert "method" not in sidecar
+    assert "tol" not in sidecar and "method" not in sidecar
     sidecar["shooting"]["tol"] = 1e-12
+    sidecar["tol"] = 1e-10
     sidecar["method"] = "petviashvili"
     with open(path + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2)
