@@ -13,15 +13,17 @@ does. A step figure is the time of `_advance` over several steps divided
 by the steps it took. The hump is even in x and in y, so a run steps it on
 its 257^2 quadrant: the `quadrant_` rows time the DCT-I pair, a phase
 stage, the three steps there, and the unfolding of a probe's field and
-spectrum; the full-grid rows time the FFT path that uneven data take.
+spectrum; the full-grid rows time the FFT path that data even about no
+grid point take.
 
 The set-up of a ground state and the cold path a run pays before its first
-step have four rows: `solve_petviashvili` on the 512/48 grid from the
+step have five rows: `solve_petviashvili` on the 512/48 grid from the
 shooting profile (its certification included, the radial shooting not),
-loading a ground-state cache that the script solves and writes once
-(512/48), `q_of` on the 512/32 grid's radii, and the wall time of
-`import nls2d.cli` in a fresh interpreter that has numpy loaded already
-(median of 5).
+`_basis` on that Q rolled by (37, 101) grid points (the centre search that
+puts it on the quadrant), loading a ground-state cache that the script
+solves and writes once (512/48), `q_of` on the 512/32 grid's radii, and
+the wall time of `import nls2d.cli` in a fresh interpreter that has numpy
+loaded already (median of 5).
 """
 
 from __future__ import annotations
@@ -94,11 +96,13 @@ grid = SpectralGrid(N, L)
 v = (2.5 * np.exp(-grid.R**2 / 2.0)).astype(np.complex128)
 w = fft.fft2(v)
 # the hump is even, so it steps on the quadrant; the full grid's basis is
-# the one its roll by a grid point gets
+# the one it gets tilted by a plane wave, which keeps |u| but leaves it even
+# about no grid point
 quadrant = evolution._basis(Field(grid, v))
 vq = np.ascontiguousarray(quadrant.fold(v))
 wq = quadrant.forward(vq)
-full = evolution._basis(Field(grid, np.roll(v, 1, axis=0)))
+full = evolution._basis(Field(grid, v * np.exp(2j * np.pi * grid.X / L)))
+assert full.forward is fft.fft2
 fixed = StepControls(dt_min=DT, dt_max=DT)
 kahan_li6 = StepControls(dt_min=DT, dt_max=DT, scheme="kahan_li6")
 
@@ -132,6 +136,10 @@ with tempfile.TemporaryDirectory() as tmp:
         repeats=7)
     gs = solve_petviashvili(grid_q, profile=profile)
     save_ground_state(gs, cache)
+    rolled_q = Field(grid_q, np.roll(gs.field.values, (37, 101), axis=(0, 1)))
+    assert len(evolution._basis(rolled_q).k) == grid_q.n // 2 + 1
+    medians["basis_rolled_q"] = median_ms(evolution._basis, lambda: rolled_q,
+                                          repeats=7)
     medians["load_ground_state"] = median_ms(load_ground_state, lambda: cache,
                                              repeats=7)
 medians["q_of"] = median_ms(gs.radial_profile.q_of, lambda: grid.R, repeats=7)

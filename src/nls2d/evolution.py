@@ -38,19 +38,20 @@ the free flow, the FFTs and a finite rotation, and |u| ~ 1e77 already makes
 theta overflow, so a step stops at its first stage with a non-finite max
 |theta|.
 
-A datum even in x and in y to the bit, v[j] == v[-j mod n] on both axes,
-stays even under both sub-flows, so it steps on its (n/2+1)^2 quadrant
-j = n/2 ... n in the DCT-I basis (Boyd 2001, ch. 8), where the sum bound
-counts a coefficient once at k = 0 and k = n/2 and twice elsewhere, per
-axis.  The quadrant's layout (`grid.fold`, `grid.unfold` and
-`grid.multiplicity`) lives in `grid`, shared with the ground-state solve,
-which runs on the quadrant too.  A quadrant stage costs two DCT-I
-transforms at 257^2, about half of two FFTs at 512^2, and a quarter of the
-elementwise work: a fixed-dt Strang step at 512 took 4-7 ms against
-11-14 ms on a shared two-core machine.
-Every other datum steps on the full grid, bit for bit as before the
-quadrant.  Probes unfold the quadrant, so they and every diagnostic read
-full-grid fields, and `moments` a spectrum with the full grid's moduli.
+A datum even in x and in y to the bit about a grid point c, v[c + j] ==
+v[c - j mod n] on both axes, stays even under both sub-flows, so it steps
+rolled by -c on its (n/2+1)^2 quadrant in the DCT-I basis (Boyd 2001,
+ch. 8), where the sum bound counts a coefficient once at k = 0 and k = n/2
+and twice elsewhere, per axis.  `_centre` tries c = 0 first, then the c
+that moves the peak of |v|^2 to the origin j = n/2: a datum translated by
+whole grid points gives the bits of the centred one, translated.  The
+quadrant's layout lives in `grid`, shared with the ground-state solve.  A
+quadrant stage costs two DCT-I transforms at 257^2, about half of two FFTs
+at 512^2, and a quarter of the elementwise work: a fixed-dt Strang step at
+512 took 4-7 ms against 11-14 ms on a shared two-core machine.  Every other
+datum steps on the full grid, bit for bit as before the quadrant.  Probes
+unfold the quadrant and roll it back by c, so they and every diagnostic
+read full-grid fields, and `moments` a spectrum with the full grid's moduli.
 
 The driver integrates between probe times, records norms and conserved
 drift, monitors the spectral tail as a resolution certificate, and converts
@@ -68,8 +69,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import fft
 
-from .grid import (Field, Moments, atomic_open, fold, moments, multiplicity,
-                   unfold, variance, write_float_csv)
+from .grid import (Field, Moments, abs2, atomic_open, fold, moments,
+                   multiplicity, unfold, variance, write_float_csv)
 
 
 # stage sizes gamma_j (fractions of dt) of symmetric compositions of the
@@ -223,21 +224,38 @@ class Basis(NamedTuple):
 
 
 def _is_even(v: np.ndarray) -> bool:
-    """Whether v[j] == v[-j mod n] on both axes, to the bit."""
+    """Whether v[j] == v[-j mod n] on both axes, to the bit: even about 0."""
     return (np.array_equal(v[1:], v[:0:-1])
             and np.array_equal(v[:, 1:], v[:, :0:-1]))
 
 
+def _centre(v: np.ndarray) -> tuple[int, int] | None:
+    """A shift c with np.roll(v, -c) even: (0, 0) if v is even, else the one
+    that moves the peak of |v|^2 to the origin j = n/2, if that one works."""
+    if _is_even(v):
+        return 0, 0
+    peak = np.unravel_index(np.argmax(abs2(v)), v.shape)
+    c = tuple((int(p) + len(v) // 2) % len(v) for p in peak)
+    return c if _is_even(np.roll(v, np.negative(c), (0, 1))) else None
+
+
 def _basis(f: Field) -> Basis:
     """The basis f steps in: on the quadrant j = n/2 ... n (by evenness, the
-    samples of j = n/2 ... 0) if f is even, else on the full grid."""
-    n = f.grid.n
-    if not _is_even(f.values):
+    samples of j = n/2 ... 0) of f rolled by -c if `_centre` finds a c, else
+    on the full grid.  A spectrum unfolds without its phase exp(-i k.c)."""
+    n, c = f.grid.n, _centre(f.values)
+    if c is None:
         # 1 / n^2 is a power of two, so it scales the sum of |w| exactly
         return Basis(fft.fft2, fft.ifft2, f.grid.k1d, 1.0 / n**2)
     m = multiplicity(n)
-    return Basis(_dct1(fft.dctn), _dct1(fft.idctn), f.grid.k1d[:len(m)],
-                 np.outer(m, m) / n**2, fold, unfold)
+    basis = Basis(_dct1(fft.dctn), _dct1(fft.idctn), f.grid.k1d[:len(m)],
+                  np.outer(m, m) / n**2, fold, unfold)
+    if c != (0, 0):
+        basis = basis._replace(
+            fold=lambda a: fold(np.roll(a, np.negative(c), (0, 1))),
+            unfold=lambda q, spectrum=False: (
+                unfold(q, True) if spectrum else np.roll(unfold(q), c, (0, 1))))
+    return basis
 
 
 def _dct1(transform) -> Callable:

@@ -249,7 +249,8 @@ def _certify(f: Field, profile: RadialProfile, s_final: float) -> GroundState:
     """
     m = moments(f)
     residuals = _identity_residuals(m.mass, m.grad_sq, m.l6_6)
-    sup_err = float(np.max(np.abs(f.values.real - profile.q_of(f.grid.R))))
+    q = unfold(profile.q_of(fold(f.grid.R)))  # R is even, so q_of(R) bit for bit
+    sup_err = float(np.max(np.abs(f.values.real - q)))
     certified = bool(np.all(np.abs(residuals) <= 1e-6) and sup_err <= 1e-5)
     return GroundState(
         radial_profile=profile,
@@ -353,29 +354,25 @@ def make_initial_data(
                                 gs, seed=seed)
         return galilean_boost(sub, np.asarray(params["xi"], dtype=float))
 
-    if family == "scaled_q":
+    r = np.ascontiguousarray(fold(grid.R))  # R is even: build on its quadrant
+    if family in ("scaled_q", "perturbed_q"):
         if gs is None:
-            raise ValueError("scaled_q needs a ground state")
+            raise ValueError(f"{family} needs a ground state")
         lam = float(params["lam"])
-        vals = lam * gs.radial_profile.q_of(lam * grid.R)
-    elif family == "perturbed_q":
-        if gs is None:
-            raise ValueError("perturbed_q needs a ground state")
-        lam = float(params["lam"])
+        vals = lam * gs.radial_profile.q_of(lam * r)
+    if family == "perturbed_q":
         eps = float(params.get("eps", 1e-3))
-        rc = 1.0
-        if seed is not None:
-            rc = float(np.random.default_rng(seed).uniform(0.5, 1.5))
-        base = lam * gs.radial_profile.q_of(lam * grid.R)
-        vals = base * (1.0 + eps * np.exp(-((grid.R - rc) ** 2)))
+        rc = 1.0 if seed is None else float(
+            np.random.default_rng(seed).uniform(0.5, 1.5))
+        vals = vals * (1.0 + eps * np.exp(-((r - rc) ** 2)))
     elif family == "gaussian":
         amp = float(params["amplitude"])
         width = float(params.get("width", 1.0))
-        vals = amp * np.exp(-grid.R**2 / (2.0 * width**2))
-    else:
+        vals = amp * np.exp(-r**2 / (2.0 * width**2))
+    elif family != "scaled_q":
         raise ValueError(f"unknown initial-data family {family!r}")
 
-    f = Field(grid, vals.astype(np.complex128), 0.0)
+    f = Field(grid, unfold(vals))
     sup = float(np.max(np.abs(vals)))
     if sup == 0.0 or boundary_sup(f) > BOUNDARY_TOL * sup:
         raise ValueError(

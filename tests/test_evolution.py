@@ -36,6 +36,16 @@ def fixed_dt(dt, **kw):
     return StepControls(dt_min=dt, dt_max=dt, **kw)
 
 
+def tilt(grid):
+    """exp(2 pi i x / L): times it, a datum keeps |u| but is even about no
+    grid point, so it steps on the full grid."""
+    return np.exp(2j * np.pi * grid.X / grid.L)
+
+
+def on_quadrant(grid, values) -> bool:
+    return len(evolution._basis(Field(grid, values)).k) == grid.n // 2 + 1
+
+
 def test_step_controls_validation():
     with pytest.raises(ValueError):
         StepControls(dt_min=0.0)
@@ -144,8 +154,9 @@ def test_evolve_transforms_each_field_once(grid_128, monkeypatch, scheme,
     # one forward transform of the datum, per_step transforms per step, and
     # one inverse transform per probe interval for the probe's field: no
     # probe transforms the field back, and every transform is scipy's.  The
-    # even hump steps on the quadrant in the DCT-I pair; rolled by a grid
-    # point it steps on the full grid in the FFT pair
+    # even hump steps on the quadrant in the DCT-I pair, rolled by a grid
+    # point too; tilted by a plane wave, even about no grid point, it steps
+    # on the full grid in the FFT pair
     import scipy.fft
 
     calls = []
@@ -160,9 +171,11 @@ def test_evolve_transforms_each_field_once(grid_128, monkeypatch, scheme,
             monkeypatch.setattr(module, name, counted)
     dt = 2.0**-10
     hump = gaussian(grid_128, 0.8, 1.2).values
-    for shift, pair in ((0, ("dctn", "idctn")), (1, ("fft2", "ifft2"))):
+    rolled = np.roll(hump, 1, axis=0)
+    for datum, pair in ((hump, ("dctn", "idctn")), (rolled, ("dctn", "idctn")),
+                        (rolled * tilt(grid_128), ("fft2", "ifft2"))):
         calls.clear()
-        rec = evolve(Field(grid_128, np.roll(hump, shift, axis=0)), 8 * dt,
+        rec = evolve(Field(grid_128, datum), 8 * dt,
                      fixed_dt(dt, scheme=scheme), SimpleNamespace(qq_gq=1.0),
                      ProbeSpec(cadence=2 * dt))
         steps, intervals = 8, 4
@@ -267,13 +280,18 @@ def test_phase_is_the_full_grid_rotation(grid_128, monkeypatch, scheme):
     edge = evolution.BLOCK_ROWS - g.n // 2  # centres the hump on a block edge
     small = SpectralGrid(16, 8.0)
     assert small.n < evolution.BLOCK_ROWS < g.n
-    # the centred hump steps on the quadrant, every other datum on the full
-    # grid, the centred hump too once it is rolled by one grid point
+    # the centred hump and its roll by one grid point step on the quadrant;
+    # tilted, so even about no grid point, the rolled humps step on the full
+    # grid with the same |u| and so the same hot box, and so does spread
+    hump = 1.2 * np.exp(-(small.X**2 + small.Y**2) / 2.0) + 0j
     data = ((g, centred), (g, np.roll(centred, 1, axis=0)),
-            (g, np.roll(centred, (g.n // 2, g.n // 2 + 5), axis=(0, 1))),
-            (g, np.roll(centred, (edge, g.n // 2 + 5), axis=(0, 1))), (g, spread),
-            (small, np.roll(1.2 * np.exp(-(small.X**2 + small.Y**2) / 2.0) + 0j,
-                            (small.n // 2, small.n // 2 + 3), axis=(0, 1))))
+            (g, tilt(g) * np.roll(centred, 1, axis=0)),
+            (g, tilt(g) * np.roll(centred, (g.n // 2, g.n // 2 + 5), axis=(0, 1))),
+            (g, tilt(g) * np.roll(centred, (edge, g.n // 2 + 5), axis=(0, 1))),
+            (g, spread),
+            (small, tilt(small) * np.roll(hump, (small.n // 2, small.n // 2 + 3),
+                                          axis=(0, 1))))
+    assert [on_quadrant(*d) for d in data] == [True, True] + [False] * 5
 
     def finals():
         return [evolve(Field(grid, v), 4 * dt, fixed_dt(dt, scheme=scheme),
@@ -316,7 +334,7 @@ def test_sum_bound_skip_never_changes_a_step(grid_128, monkeypatch):
     # stepper skips the spectral sum it knows must fail.  A slack of 1
     # turns the skip off; the run must then sum where it skipped and still
     # take the same steps to the same bits.  The hump steps on the
-    # quadrant; rolled by a grid point, on the full grid.
+    # quadrant, rolled by a grid point too; tilted, on the full grid.
     summed = []
 
     def counted(w, weight, _bound=evolution._sum_bound4):
@@ -333,8 +351,11 @@ def test_sum_bound_skip_never_changes_a_step(grid_128, monkeypatch):
         return rec, len(summed)
 
     hump, slack = gaussian(grid_128, 2.0, 1.0).values, evolution.BOUND_SLACK
-    for shift in (0, 1):
-        datum = Field(grid_128, np.roll(hump, shift, axis=0))
+    rolled = np.roll(hump, 1, axis=0)
+    for values, quadrant in ((hump, True), (rolled, True),
+                             (rolled * tilt(grid_128), False)):
+        assert on_quadrant(grid_128, values) == quadrant
+        datum = Field(grid_128, values)
         monkeypatch.setattr(evolution, "BOUND_SLACK", slack)
         skipping, sums = run(datum)
         monkeypatch.setattr(evolution, "BOUND_SLACK", 1.0)
@@ -598,27 +619,88 @@ def test_even_data_step_on_the_quadrant(gs_cert, grid_128, monkeypatch, family,
 
 def test_a_datum_off_symmetry_steps_on_the_full_grid(gs_cert, grid_128,
                                                       monkeypatch):
-    # one sample one ulp off its mirror image makes the datum uneven: it
-    # takes the full grid's path, bit for bit
-    vals = gaussian(grid_128, 2.0, 1.0).values.copy()
-    j = grid_128.n // 2 + 3
+    # one sample one ulp off its mirror image makes the datum uneven about
+    # every grid point, centred or rolled; a hump off the grid points in x
+    # is even about a grid point in y only.  Each takes the full grid's
+    # path, bit for bit
+    g = grid_128
+    vals = gaussian(g, 2.0, 1.0).values.copy()
+    j = g.n // 2 + 3
     vals[j, j - 4] = np.nextafter(vals[j, j - 4].real, np.inf)
-    f = Field(grid_128, vals)
-    assert not evolution._is_even(f.values)
+    data = (vals, np.roll(vals, (5, -17), axis=(0, 1)),
+            2.0 * np.exp(-((g.X - 0.3 * g.dx) ** 2 + g.Y**2) / 2.0) + 0j)
+    assert np.array_equal(data[2][:, 1:], data[2][:, :0:-1])  # even in y
+    fields = [Field(g, v) for v in data]
+    assert not any(on_quadrant(g, f.values) for f in fields)
 
     def run():
-        rec = evolve(f, 0.05, StepControls(dt_max=2e-3), gs_cert,
-                     ProbeSpec(cadence=0.025, snapshot_times=(0.05,)))
+        return [(evolve(f, 0.05, StepControls(dt_max=2e-3), gs_cert,
+                        ProbeSpec(cadence=0.025, snapshot_times=(0.05,))),
+                 step_strang(f, 2e-3).values) for f in fields]
+
+    searched = run()
+    monkeypatch.setattr(evolution, "_is_even", lambda v: False)
+    for (uneven, uneven_step), (full, full_step) in zip(searched, run()):
+        assert uneven.steps_taken == full.steps_taken
+        assert np.array_equal(uneven.snapshots[-1].values,
+                              full.snapshots[-1].values)
+        assert np.array_equal(uneven_step, full_step)
+        for c in uneven.columns:
+            assert getattr(uneven, c) == getattr(full, c)
+
+
+@pytest.mark.parametrize("controls", [fixed_dt(2.0**-10), StepControls(dt_max=2e-3),
+                                      fixed_dt(2.0**-10, scheme="kahan_li6")],
+                         ids=["fixed", "adaptive", "kahan_li6"])
+def test_translated_data_step_on_the_quadrant_to_the_bit(grid_128, controls):
+    # the hump rolled by whole grid points is even about its peak, so it
+    # steps on the quadrant rolled back: its final field and one step are
+    # the centred run's rolled, to the bit.  The probe columns read off the
+    # spectrum match to the bit; mass and l6_6 sum the rolled samples in
+    # another order, which moves l6_6, the drifts and G (measured: at most
+    # 5.8e-15 relative to max(1, |column|))
+    g, n = grid_128, grid_128.n
+    hump = gaussian(g, 2.0, 1.0).values
+    rng = np.random.default_rng(2012)
+    shifts = ((1, 0), (n // 2, n // 2 + 5), (evolution.BLOCK_ROWS - n // 2, 3),
+              tuple(int(s) for s in rng.integers(1, n, size=2)))
+
+    def run(values):
+        f = Field(g, values)
+        rec = evolve(f, 0.1, controls, SimpleNamespace(qq_gq=1.0),
+                     ProbeSpec(cadence=0.025, snapshot_times=(0.1,)))
         return rec, step_strang(f, 2e-3).values
 
-    uneven, uneven_step = run()
-    monkeypatch.setattr(evolution, "_is_even", lambda v: False)
-    full, full_step = run()
-    assert uneven.steps_taken == full.steps_taken
-    assert np.array_equal(uneven.snapshots[-1].values, full.snapshots[-1].values)
-    assert np.array_equal(uneven_step, full_step)
-    for c in uneven.columns:
-        assert getattr(uneven, c) == getattr(full, c)
+    base, base_step = run(hump)
+    assert base.outcome == RAN_TO_T_END and base.steps_taken >= 60
+    for shift in shifts:
+        rolled = np.roll(hump, shift, axis=(0, 1))
+        assert not evolution._is_even(rolled) and on_quadrant(g, rolled)
+        rec, step = run(rolled)
+        assert rec.steps_taken == base.steps_taken
+        assert rec.times == base.times and rec.outcome == base.outcome
+        assert np.array_equal(rec.snapshots[-1].values,
+                              np.roll(base.snapshots[-1].values, shift, (0, 1)))
+        assert np.array_equal(step, np.roll(base_step, shift, (0, 1)))
+        for c in ("grad_sq", "momx", "momy", "tail_fraction"):
+            assert getattr(rec, c) == getattr(base, c), (shift, c)
+        for c in ("l6_6", "mass_drift", "energy_drift", "G"):
+            want = np.asarray(getattr(base, c))
+            dev = np.max(np.abs(np.asarray(getattr(rec, c)) - want))
+            assert dev <= 2e-14 * max(1.0, np.max(np.abs(want))), (shift, c)
+
+
+def test_an_even_ring_keeps_the_quadrant(grid_128):
+    # a ring even about the origin peaks away from it: the centre search
+    # tries the origin first, so the ring keeps the quadrant and its bits
+    g = grid_128
+    ring = 1.5 * np.exp(-((g.R - 2.0) ** 2)) + 0j
+    peak = np.unravel_index(np.argmax(np.abs(ring)), ring.shape)
+    assert peak != (g.n // 2, g.n // 2)
+    assert evolution._centre(ring) == (0, 0)
+    basis = evolution._basis(Field(g, ring))
+    assert basis.fold is evolution.fold and basis.unfold is evolution.unfold
+    assert len(basis.k) == g.n // 2 + 1
 
 
 @pytest.mark.parametrize("variance", [True, False],
