@@ -17,7 +17,9 @@ spectrum; the full-grid rows time the FFT path that data even about no
 grid point take.
 
 The set-up of a ground state and the cold path a run pays before its first
-step have five rows: `solve_petviashvili` on the 512/48 grid from the
+step have six rows: `solve_radial_shooting` (median of 5 after one warm
+call, so the `scipy.integrate` import is not timed; the script also prints
+how many shots it takes), `solve_petviashvili` on the 512/48 grid from the
 shooting profile (its certification included, the radial shooting not),
 `_basis` on that Q rolled by (37, 101) grid points (the centre search that
 puts it on the quadrant), loading a ground-state cache that the script
@@ -46,7 +48,7 @@ from scipy import fft
 from nls2d import (Field, SpectralGrid, StepControls, load_ground_state,
                    moments, save_ground_state, solve_petviashvili,
                    solve_radial_shooting)
-from nls2d import evolution
+from nls2d import evolution, ground_state
 
 N, L, DT = 512, 32.0, 1e-3
 
@@ -128,9 +130,15 @@ medians = {
     "quadrant_unfold": median_ms(
         lambda x: (quadrant.unfold(x), quadrant.unfold(wq, True)), lambda: vq),
 }
+shots, mismatch = [], ground_state._mismatch
+ground_state._mismatch = lambda a: shots.append(a) or mismatch(a)
+profile = solve_radial_shooting()  # warm: pays the scipy.integrate import
+ground_state._mismatch = mismatch
+medians["solve_radial_shooting"] = median_ms(
+    lambda _: solve_radial_shooting(), repeats=5)
 with tempfile.TemporaryDirectory() as tmp:
     cache = os.path.join(tmp, "ground_state.nls2")
-    grid_q, profile = SpectralGrid(512, 48.0), solve_radial_shooting()
+    grid_q = SpectralGrid(512, 48.0)
     medians["solve_petviashvili"] = median_ms(
         lambda p: solve_petviashvili(grid_q, profile=p), lambda: profile,
         repeats=7)
@@ -147,6 +155,7 @@ medians["import_nls2d_cli"] = import_ms()
 result = {
     "grid": {"n": N, "L": L}, "datum": "gaussian amplitude 2.5 width 1",
     "dt_fixed": DT, "unit": "ms", "medians": medians,
+    "shooting_shots": len(shots),
     "numpy": np.__version__, "scipy": scipy.__version__,
     "python": sys.version.split()[0],
 }
@@ -154,3 +163,4 @@ with open(os.path.join(ROOT, "BENCH_kernels.json"), "w") as fh:
     json.dump(result, fh, indent=2)
 for name, ms in medians.items():
     print(f"{name:22s} {ms:8.2f} ms")
+print(f"solve_radial_shooting: {len(shots)} shots, then the profile integration")

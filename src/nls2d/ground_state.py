@@ -3,8 +3,9 @@
 The standing-wave profile solves -Q + lap Q + Q^5 = 0 with Q positive,
 radial, and exponentially decaying.  Two independent solvers compute it:
 
-* a radial shooting oracle (bisection on Q(0) for the ODE
-  Q'' + Q'/r - Q + Q^5 = 0, with a Bessel K0 far-field graft), and
+* a radial shooting oracle (Brent's method on Q(0) for the ODE
+  Q'' + Q'/r - Q + Q^5 = 0, matching the shot to the decaying Bessel K0
+  tail at r = 6, with a K0 far-field graft), and
 * a spectral Petviashvili fixed-point iteration on the 2D grid.
 
 The iteration runs on the grid's (n/2+1)^2 quadrant in the DCT-I basis,
@@ -50,6 +51,7 @@ class CertificationError(RuntimeError):
 _R_ORIGIN = 1e-8
 _TAIL_THRESHOLD = 1e-6   # switch to the K0 asymptotic once Q drops below this
 _R_MAX = 40.0
+_R_FIT = 6.0          # where a shot is matched to the K0 tail
 _Q_CHUNK = 1 << 15    # radii per q_of pass
 BOUNDARY_TOL = 1e-6   # a datum's boundary sup may be at most this times its sup
 
@@ -66,27 +68,20 @@ def _series_start(a: float, r0: float = _R_ORIGIN) -> tuple[float, float]:
     return q0, p0
 
 
-def _classify_shot(a: float, rmax: float = 18.0) -> str:
-    """'high' if the shot crosses zero (Q(0) too large), else 'low'.
+def _mismatch(a: float) -> float:
+    """Q'(r) K0(r) + Q(r) K1(r) at r = _R_FIT for the shot from Q(0) = a.
 
-    Below the critical amplitude the trajectory turns upward and settles
-    toward the false vacuum at Q = 1 without ever crossing zero; above it
-    the trajectory overshoots and crosses.
+    This is minus the Wronskian of the shot with K0, so it vanishes exactly
+    when the shot carries no growing I0 part at _R_FIT.  Unlike the ratio
+    Q'/Q + K1/K0 it has no pole where a shot crosses zero.
     """
     from scipy.integrate import solve_ivp
+    from scipy.special import k0, k1
 
-    q0, p0 = _series_start(a)
-    hit_zero = lambda r, y: y[0]
-    hit_zero.terminal = True
-    hit_zero.direction = -1
-    turn_up = lambda r, y: y[1]
-    turn_up.terminal = True
-    turn_up.direction = 1
-    sol = solve_ivp(
-        _radial_rhs, (_R_ORIGIN, rmax), [q0, p0],
-        rtol=1e-13, atol=1e-16, method="DOP853", events=[hit_zero, turn_up],
-    )
-    return "high" if sol.t_events[0].size else "low"
+    sol = solve_ivp(_radial_rhs, (_R_ORIGIN, _R_FIT), list(_series_start(a)),
+                    rtol=1e-13, atol=1e-16, method="DOP853")
+    q, p = sol.y[:, -1]
+    return float(p * k0(_R_FIT) + q * k1(_R_FIT))
 
 
 @dataclass
@@ -96,7 +91,7 @@ class RadialProfile:
 
     x: np.ndarray
     c: np.ndarray
-    q0: float          # Q(0), the bisected shooting amplitude
+    q0: float          # Q(0), the shooting amplitude matched to the K0 tail
     c_tail: float      # Q(r) ~ c_tail * K0(r) beyond r_switch
     r_switch: float
 
@@ -173,29 +168,20 @@ def _integrate_profile(a_star: float) -> RadialProfile:
 
 
 def solve_radial_shooting() -> RadialProfile:
-    """Bisection on Q(0) between a turning-up and a zero-crossing shot.
+    """Brent's method on Q(0) for the root of `_mismatch` in [1.5, 3]: the
+    amplitude whose shot matches the decaying K0 tail at _R_FIT.
 
-    It takes no tolerance: bisection runs to floating-point exhaustion, and
-    the integrator runs at rtol 1e-13.
+    It takes no tolerance: the root is found to 4 eps relative, and the
+    integrator runs at rtol 1e-13.
     """
-    lo, hi = 1.5, 3.0
-    if _classify_shot(lo) != "low":
-        raise CertificationError("bisection bracket not found at the low end")
-    scans = 0
-    while _classify_shot(hi) == "low":
-        hi *= 1.5
-        scans += 1
-        if scans > 8:
-            raise CertificationError("bisection bracket not found at the high end")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _classify_shot(mid) == "high":
-            hi = mid
-        else:
-            lo = mid
-    profile = _integrate_profile(0.5 * (lo + hi))
+    from scipy.optimize import brentq
+
+    try:
+        a_star = brentq(_mismatch, 1.5, 3.0, xtol=1e-16, rtol=8.9e-16)
+    except ValueError as exc:
+        raise CertificationError(
+            "tail mismatch has no sign change on [1.5, 3]") from exc
+    profile = _integrate_profile(a_star)
     if abs(profile.q_of(profile.r_max)) > 1e-10:
         raise CertificationError("profile does not decay at r_max")
     return profile

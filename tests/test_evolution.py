@@ -703,6 +703,33 @@ def test_an_even_ring_keeps_the_quadrant(grid_128):
     assert len(basis.k) == g.n // 2 + 1
 
 
+def test_a_rolled_ring_steps_on_the_quadrant_to_the_bit(grid_128):
+    # rolled off the origin, the ring's peak is not its centre; the circular
+    # mean of its |v|^2 marginals is, so it steps on the quadrant and gives
+    # the centred run's fields, rolled, to the bit
+    g = grid_128
+    ring = 1.5 * np.exp(-((g.R - 2.0) ** 2)) + 0j
+
+    def run(values):
+        f = Field(g, values)
+        rec = evolve(f, 0.05, fixed_dt(2.0**-10), SimpleNamespace(qq_gq=1.0),
+                     ProbeSpec(cadence=0.025, snapshot_times=(0.05,)))
+        return rec, step_strang(f, 2e-3).values
+
+    base, base_step = run(ring)
+    for shift in ((5, 0), (37, 101), (g.n // 2, 3)):
+        rolled = np.roll(ring, shift, axis=(0, 1))
+        assert evolution._centre(rolled) == shift
+        assert on_quadrant(g, rolled)
+        rec, step = run(rolled)
+        assert rec.times == base.times and rec.steps_taken == base.steps_taken
+        assert np.array_equal(rec.snapshots[-1].values,
+                              np.roll(base.snapshots[-1].values, shift, (0, 1)))
+        assert np.array_equal(step, np.roll(base_step, shift, (0, 1)))
+        for c in ("grad_sq", "momx", "momy", "tail_fraction"):
+            assert getattr(rec, c) == getattr(base, c), (shift, c)
+
+
 @pytest.mark.parametrize("variance", [True, False],
                          ids=["variance_on", "variance_off"])
 def test_trajectory_csv_round_trip(gs_cert, grid_128, tmp_path, variance):

@@ -1,8 +1,10 @@
 """Radial shooting oracle, spectral ground-state solve, and the data families.
 
 Frozen oracle values for the positive decaying solution of
-q'' + q'/r - q + q^5 = 0 (computed once by bisected shooting at integrator
-tolerance 1e-13 and pinned here as a regression guard):
+q'' + q'/r - q + q^5 = 0 (computed once by shooting, with Q(0) bisected
+between shots that cross zero and shots that turn up, at integrator
+tolerance 1e-13, and pinned here as a regression guard; the oracle now
+matches the shot to the K0 tail, and its Q(0) is 1 ulp below this pin):
     q(0)        2.000289943995881
     mass        3.983447465221882
     grad sq     7.966894930443748
@@ -28,6 +30,7 @@ from nls2d import (
     CertificationError,
     SpectralGrid,
     gn_inequality_check,
+    ground_state,
     load_ground_state,
     make_initial_data,
     moments,
@@ -47,6 +50,35 @@ QQ_GQ = 5.633445430317513
 
 def test_shooting_amplitude_regression(shooting_profile):
     assert shooting_profile.q0 == pytest.approx(Q0, rel=1e-10)
+
+
+def test_shooting_matches_the_tail_in_few_shots(monkeypatch):
+    import scipy.integrate
+
+    shots = []
+    solve_ivp = scipy.integrate.solve_ivp
+
+    def counting(*args, **kwargs):
+        shots.append(1)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
+    profile = solve_radial_shooting()
+    # 13 shots to the fitting radius, then the profile integration
+    assert len(shots) <= 16
+    assert profile.q0 == pytest.approx(Q0, rel=1e-15)
+
+
+def test_shooting_mismatch_changes_sign_at_q0():
+    below = ground_state._mismatch(Q0 * (1.0 - 1e-12))
+    above = ground_state._mismatch(Q0 * (1.0 + 1e-12))
+    assert below * above < 0.0
+
+
+def test_shooting_without_a_bracket_is_uncertified(monkeypatch):
+    monkeypatch.setattr(ground_state, "_mismatch", lambda a: 1.0 + a)
+    with pytest.raises(CertificationError, match="no sign change"):
+        solve_radial_shooting()
 
 
 def test_shooting_profile_mass(shooting_profile):
