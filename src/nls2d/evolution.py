@@ -43,17 +43,16 @@ v[c - j mod n] on both axes, stays even under both sub-flows, so it steps
 rolled by -c on its (n/2+1)^2 quadrant in the DCT-I basis (Boyd 2001,
 ch. 8), where the sum bound counts a coefficient once at k = 0 and k = n/2
 and twice elsewhere, per axis.  `_centre` tries c = 0 first, then the c that
-moves the peak of |v|^2 to the origin j = n/2, then the one that moves
-there the circular mean of its marginals (for a ring, whose peak is not its
-centre): a datum translated by whole grid points gives the bits of the
-centred one, translated.  The quadrant's layout lives in `grid`, shared
-with the ground-state solve.  A quadrant stage costs two DCT-I transforms
-at 257^2, about half of two FFTs at 512^2, and a quarter of the elementwise
-work: a fixed-dt Strang step at 512 took 4-7 ms against 11-14 ms on a
-shared two-core machine.  Every other datum steps on the full grid, bit for
-bit as before the quadrant.  Probes unfold the quadrant and roll it back by
-c, so they and every diagnostic read full-grid fields, and `moments` a
-spectrum with the full grid's moduli.
+moves the circular mean of the |v|^2 marginals to the origin j = n/2 (a
+ring's centre too, where its peak is not): a datum translated by whole
+grid points gives the bits of the centred one, translated.  The quadrant's
+layout lives in `grid`, shared with the ground-state solve.  A quadrant
+stage costs two DCT-I transforms at 257^2, about half of two FFTs at 512^2,
+and a quarter of the elementwise work: a fixed-dt Strang step at 512 took
+4-7 ms against 11-14 ms on a shared two-core machine.  Every other datum
+steps on the full grid, bit for bit as before the quadrant.  Probes unfold
+the quadrant and roll it back by c, so they and every diagnostic read
+full-grid fields, and `moments` a spectrum with the full grid's moduli.
 
 The driver integrates between probe times, records norms and conserved
 drift, monitors the spectral tail as a resolution certificate, and converts
@@ -233,22 +232,17 @@ def _is_even(v: np.ndarray) -> bool:
 
 def _centre(v: np.ndarray) -> tuple[int, int] | None:
     """A shift c with np.roll(v, -c) even: (0, 0) if v is even, else the one
-    that moves to the origin j = n/2 the peak of |v|^2 or, failing that, the
-    circular mean of its marginals, arg sum_j m_j exp(2 pi i j / n) per
-    axis, if one of these works.  Even about a point is even about it plus
-    n/2, so the mean's half-turn ambiguity needs no second candidate."""
+    that moves to the origin j = n/2 the circular mean of the |v|^2
+    marginals, arg sum_j m_j exp(2 pi i j / n) per axis, if that works.
+    Even about a point is even about it plus n/2, so the mean's half-turn
+    ambiguity needs no second candidate."""
     if _is_even(v):
         return 0, 0
     n, v2 = len(v), abs2(v)
-    peak = np.unravel_index(np.argmax(v2), v.shape)
     turns = np.exp(2j * np.pi * np.arange(n) / n)
-    mean = [np.rint(np.angle(turns @ v2.sum(axis=1 - ax)) * n / (2 * np.pi))
-            for ax in (0, 1)]
-    for spot in (peak, mean):
-        c = tuple(int(p + n // 2) % n for p in spot)
-        if _is_even(np.roll(v, np.negative(c), (0, 1))):
-            return c
-    return None
+    c = tuple(int(np.rint(np.angle(turns @ v2.sum(axis=1 - ax)) * n
+                          / (2 * np.pi)) + n // 2) % n for ax in (0, 1))
+    return c if _is_even(np.roll(v, np.negative(c), (0, 1))) else None
 
 
 def _basis(f: Field) -> Basis:

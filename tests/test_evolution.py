@@ -653,14 +653,17 @@ def test_a_datum_off_symmetry_steps_on_the_full_grid(gs_cert, grid_128,
                                       fixed_dt(2.0**-10, scheme="kahan_li6")],
                          ids=["fixed", "adaptive", "kahan_li6"])
 def test_translated_data_step_on_the_quadrant_to_the_bit(grid_128, controls):
-    # the hump rolled by whole grid points is even about its peak, so it
-    # steps on the quadrant rolled back: its final field and one step are
-    # the centred run's rolled, to the bit.  The probe columns read off the
-    # spectrum match to the bit; mass and l6_6 sum the rolled samples in
-    # another order, which moves l6_6, the drifts and G (measured: at most
-    # 5.8e-15 relative to max(1, |column|))
+    # the hump or the ring rolled by whole grid points is even about its
+    # centre, which the circular mean of its |v|^2 marginals finds (the
+    # ring's peak is not its centre), so it steps on the quadrant rolled
+    # back: its final field and one step are the centred run's rolled, to
+    # the bit.  The probe columns read off the spectrum match to the bit;
+    # mass and l6_6 sum the rolled samples in another order, which moves
+    # l6_6, the drifts and G (measured: at most 5.8e-15 relative to
+    # max(1, |column|))
     g, n = grid_128, grid_128.n
     hump = gaussian(g, 2.0, 1.0).values
+    ring = 1.5 * np.exp(-((g.R - 2.0) ** 2)) + 0j
     rng = np.random.default_rng(2012)
     shifts = ((1, 0), (n // 2, n // 2 + 5), (evolution.BLOCK_ROWS - n // 2, 3),
               tuple(int(s) for s in rng.integers(1, n, size=2)))
@@ -671,23 +674,26 @@ def test_translated_data_step_on_the_quadrant_to_the_bit(grid_128, controls):
                      ProbeSpec(cadence=0.025, snapshot_times=(0.1,)))
         return rec, step_strang(f, 2e-3).values
 
-    base, base_step = run(hump)
-    assert base.outcome == RAN_TO_T_END and base.steps_taken >= 60
-    for shift in shifts:
-        rolled = np.roll(hump, shift, axis=(0, 1))
-        assert not evolution._is_even(rolled) and on_quadrant(g, rolled)
-        rec, step = run(rolled)
-        assert rec.steps_taken == base.steps_taken
-        assert rec.times == base.times and rec.outcome == base.outcome
-        assert np.array_equal(rec.snapshots[-1].values,
-                              np.roll(base.snapshots[-1].values, shift, (0, 1)))
-        assert np.array_equal(step, np.roll(base_step, shift, (0, 1)))
-        for c in ("grad_sq", "momx", "momy", "tail_fraction"):
-            assert getattr(rec, c) == getattr(base, c), (shift, c)
-        for c in ("l6_6", "mass_drift", "energy_drift", "G"):
-            want = np.asarray(getattr(base, c))
-            dev = np.max(np.abs(np.asarray(getattr(rec, c)) - want))
-            assert dev <= 2e-14 * max(1.0, np.max(np.abs(want))), (shift, c)
+    for v0, min_steps in ((hump, 60), (ring, 50)):
+        base, base_step = run(v0)
+        assert base.outcome == RAN_TO_T_END and base.steps_taken >= min_steps
+        for shift in shifts:
+            rolled = np.roll(v0, shift, axis=(0, 1))
+            assert not evolution._is_even(rolled) and on_quadrant(g, rolled)
+            assert evolution._centre(rolled) == tuple(np.mod(shift, n))
+            rec, step = run(rolled)
+            assert rec.steps_taken == base.steps_taken
+            assert rec.times == base.times and rec.outcome == base.outcome
+            assert np.array_equal(
+                rec.snapshots[-1].values,
+                np.roll(base.snapshots[-1].values, shift, (0, 1)))
+            assert np.array_equal(step, np.roll(base_step, shift, (0, 1)))
+            for c in ("grad_sq", "momx", "momy", "tail_fraction"):
+                assert getattr(rec, c) == getattr(base, c), (shift, c)
+            for c in ("l6_6", "mass_drift", "energy_drift", "G"):
+                want = np.asarray(getattr(base, c))
+                dev = np.max(np.abs(np.asarray(getattr(rec, c)) - want))
+                assert dev <= 2e-14 * max(1.0, np.max(np.abs(want))), (shift, c)
 
 
 def test_an_even_ring_keeps_the_quadrant(grid_128):
@@ -701,33 +707,6 @@ def test_an_even_ring_keeps_the_quadrant(grid_128):
     basis = evolution._basis(Field(g, ring))
     assert basis.fold is evolution.fold and basis.unfold is evolution.unfold
     assert len(basis.k) == g.n // 2 + 1
-
-
-def test_a_rolled_ring_steps_on_the_quadrant_to_the_bit(grid_128):
-    # rolled off the origin, the ring's peak is not its centre; the circular
-    # mean of its |v|^2 marginals is, so it steps on the quadrant and gives
-    # the centred run's fields, rolled, to the bit
-    g = grid_128
-    ring = 1.5 * np.exp(-((g.R - 2.0) ** 2)) + 0j
-
-    def run(values):
-        f = Field(g, values)
-        rec = evolve(f, 0.05, fixed_dt(2.0**-10), SimpleNamespace(qq_gq=1.0),
-                     ProbeSpec(cadence=0.025, snapshot_times=(0.05,)))
-        return rec, step_strang(f, 2e-3).values
-
-    base, base_step = run(ring)
-    for shift in ((5, 0), (37, 101), (g.n // 2, 3)):
-        rolled = np.roll(ring, shift, axis=(0, 1))
-        assert evolution._centre(rolled) == shift
-        assert on_quadrant(g, rolled)
-        rec, step = run(rolled)
-        assert rec.times == base.times and rec.steps_taken == base.steps_taken
-        assert np.array_equal(rec.snapshots[-1].values,
-                              np.roll(base.snapshots[-1].values, shift, (0, 1)))
-        assert np.array_equal(step, np.roll(base_step, shift, (0, 1)))
-        for c in ("grad_sq", "momx", "momy", "tail_fraction"):
-            assert getattr(rec, c) == getattr(base, c), (shift, c)
 
 
 @pytest.mark.parametrize("variance", [True, False],
