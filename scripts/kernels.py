@@ -12,9 +12,10 @@ the blow-up sweep. At that amplitude sup|u|^4 = 39 exceeds cfl_c / dt_max =
 does. A step figure is the time of `_advance` over several steps divided
 by the steps it took. The hump is even in x and in y, so a run steps it on
 its 257^2 quadrant: the `quadrant_` rows time the DCT-I pair, a phase
-stage, the three steps there, and the unfolding of a probe's field and
-spectrum; the full-grid rows time the FFT path that data even about no
-grid point take.
+stage, the three steps and a probe there; the full-grid rows time the FFT
+path that data even about no grid point take. A probe is what `evolve`
+runs at each probe time after the first: the inverse transform of the
+spectrum and `weighted_moments` of the field and spectrum in that basis.
 
 The set-up of a ground state and the cold path a run pays before its first
 step have six rows: `solve_radial_shooting` (median of 5 after one warm
@@ -49,6 +50,7 @@ from nls2d import (Field, SpectralGrid, StepControls, load_ground_state,
                    moments, save_ground_state, solve_petviashvili,
                    solve_radial_shooting)
 from nls2d import evolution, ground_state
+from nls2d.grid import weighted_moments
 
 N, L, DT = 512, 32.0, 1e-3
 
@@ -74,6 +76,11 @@ def step_ms(basis, v, controls, target, repeats):
         _, _, steps = evolution._advance(wc, v, 0.0, target, controls, basis)
         per_step.append((time.perf_counter() - t0) / steps)
     return 1e3 * statistics.median(per_step)
+
+
+def probe(basis, wc):
+    """A probe of `evolve` in basis at the spectrum wc."""
+    return weighted_moments(grid, basis.inverse(wc), wc, basis.weight)
 
 
 def import_ms(repeats=5):
@@ -117,6 +124,7 @@ medians = {
     "strang_adaptive_step": step_ms(full, v, StepControls(), 0.05, repeats=7),
     "kahan_li6_step": step_ms(full, v, kahan_li6, 3 * DT, repeats=5),
     "moments": median_ms(lambda f: moments(f, w), lambda: Field(grid, v)),
+    "probe": median_ms(lambda x: probe(full, x), lambda: w),
     "ifft2": median_ms(fft.ifft2, lambda: w),
     "quadrant_dct1_pair": median_ms(
         lambda x: quadrant.inverse(quadrant.forward(x)), lambda: vq, repeats=50),
@@ -127,8 +135,7 @@ medians = {
                                       repeats=7),
     "quadrant_kahan_li6_step": step_ms(quadrant, vq, kahan_li6, 3 * DT,
                                        repeats=5),
-    "quadrant_unfold": median_ms(
-        lambda x: (quadrant.unfold(x), quadrant.unfold(wq, True)), lambda: vq),
+    "quadrant_probe": median_ms(lambda x: probe(quadrant, x), lambda: wq),
 }
 shots, mismatch = [], ground_state._mismatch
 ground_state._mismatch = lambda a: shots.append(a) or mismatch(a)

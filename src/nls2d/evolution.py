@@ -50,9 +50,9 @@ layout lives in `grid`, shared with the ground-state solve.  A quadrant
 stage costs two DCT-I transforms at 257^2, about half of two FFTs at 512^2,
 and a quarter of the elementwise work: a fixed-dt Strang step at 512 took
 4-7 ms against 11-14 ms on a shared two-core machine.  Every other datum
-steps on the full grid, bit for bit as before the quadrant.  Probes unfold
-the quadrant and roll it back by c, so they and every diagnostic read
-full-grid fields, and `moments` a spectrum with the full grid's moduli.
+steps on the full grid, bit for bit as before the quadrant.  A probe reads
+the basis it steps in, with the sum bound's weights (`weighted_moments`);
+only a kept snapshot or the variance column unfolds it, rolled back by c.
 
 The driver integrates between probe times, records norms and conserved
 drift, monitors the spectral tail as a resolution certificate, and converts
@@ -70,8 +70,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import fft
 
-from .grid import (Field, Moments, abs2, atomic_open, fold, moments,
-                   multiplicity, unfold, variance, write_float_csv)
+from .grid import (Field, Moments, abs2, atomic_open, fold, multiplicity,
+                   unfold, variance, weighted_moments, write_float_csv)
 
 
 # stage sizes gamma_j (fractions of dt) of symmetric compositions of the
@@ -221,7 +221,7 @@ class Basis(NamedTuple):
     k: np.ndarray
     weight: float | np.ndarray
     fold: Callable = lambda a: a
-    unfold: Callable = lambda a, spectrum=False: a
+    unfold: Callable = lambda a: a
 
 
 def _is_even(v: np.ndarray) -> bool:
@@ -248,7 +248,7 @@ def _centre(v: np.ndarray) -> tuple[int, int] | None:
 def _basis(f: Field) -> Basis:
     """The basis f steps in: on the quadrant j = n/2 ... n (by evenness, the
     samples of j = n/2 ... 0) of f rolled by -c if `_centre` finds a c, else
-    on the full grid.  A spectrum unfolds without its phase exp(-i k.c)."""
+    on the full grid."""
     n, c = f.grid.n, _centre(f.values)
     if c is None:
         # 1 / n^2 is a power of two, so it scales the sum of |w| exactly
@@ -259,8 +259,7 @@ def _basis(f: Field) -> Basis:
     if c != (0, 0):
         basis = basis._replace(
             fold=lambda a: fold(np.roll(a, np.negative(c), (0, 1))),
-            unfold=lambda q, spectrum=False: (
-                unfold(q, True) if spectrum else np.roll(unfold(q), c, (0, 1))))
+            unfold=lambda q: np.roll(unfold(q), c, (0, 1)))
     return basis
 
 
@@ -383,21 +382,16 @@ def detect_blowup(rec: TrajectoryRecord, controls: StepControls) -> float | None
     return None
 
 
-def _probe(u: Field, m: Moments, gs, rec: TrajectoryRecord) -> dict:
-    """The row of rec's columns at u; m is moments(u)."""
+def _probe(m: Moments, u: Field | None, gs, rec: TrajectoryRecord) -> dict:
+    """The row of rec's columns from the moments m; u is read for variance."""
     # drifts compare against the t = 0 sample, read by the same kernel, so
     # no change of estimator can masquerade as conservation loss
     m0, e0 = rec.mass0, rec.energy0
-    row = dict(
-        grad_sq=m.grad_sq,
-        l6_6=m.l6_6,
-        mass_drift=(m.mass - m0) / m0 if m0 > 0.0 else 0.0,
-        energy_drift=(m.energy - e0) / max(abs(e0), 1e-3),
-        momx=m.px,
-        momy=m.py,
-        G=float(np.sqrt(m.mass * m.grad_sq) / gs.qq_gq),
-        tail_fraction=m.tail,
-    )
+    row = dict(grad_sq=m.grad_sq, l6_6=m.l6_6, momx=m.px, momy=m.py,
+               mass_drift=(m.mass - m0) / m0 if m0 > 0.0 else 0.0,
+               energy_drift=(m.energy - e0) / max(abs(e0), 1e-3),
+               G=float(np.sqrt(m.mass * m.grad_sq) / gs.qq_gq),
+               tail_fraction=m.tail)
     if "variance" in rec.columns:
         try:
             row["variance"] = variance(u)
@@ -406,13 +400,8 @@ def _probe(u: Field, m: Moments, gs, rec: TrajectoryRecord) -> dict:
     return row
 
 
-def evolve(
-    f: Field,
-    t_end: float,
-    controls: StepControls,
-    gs,
-    probes: ProbeSpec | None = None,
-) -> TrajectoryRecord:
+def evolve(f: Field, t_end: float, controls: StepControls, gs,
+           probes: ProbeSpec | None = None) -> TrajectoryRecord:
     """Integrate until t_end, blow-up detection, or resolution loss.
 
     The step is dt = clamp(cfl_c / ||u||_inf^4, dt_min, dt_max), which bounds
@@ -427,11 +416,12 @@ def evolve(
     rec = TrajectoryRecord(probes.variance)
     n_probes = max(int(round((t_end - f.t) / probes.cadence)), 1)
     stalled_tail_streak = 0
-    basis, u, t = _basis(f), f, f.t  # the t = f.t probe reads the datum itself
-    w = basis.forward(basis.fold(f.values))
+    basis, t = _basis(f), f.t
+    v = basis.fold(f.values)  # the t = f.t probe reads the datum itself
+    w = basis.forward(v)
     for i in range(n_probes + 1):
         target = f.t + i * probes.cadence if i < n_probes else t_end
-        w, t, steps = _advance(w, basis.fold(u.values), t, target, controls, basis)
+        w, t, steps = _advance(w, v, t, target, controls, basis)
         rec.steps_taken += steps
         if w is None:
             # overflow near collapse counts as a blow-up signal
@@ -439,13 +429,16 @@ def evolve(
             return rec
         t = target  # resync against accumulated roundoff
         if i:
-            u = Field(f.grid, basis.unfold(basis.inverse(w)), t)
-        m = moments(u, basis.unfold(w, True))
+            v = basis.inverse(w)
+        m = weighted_moments(f.grid, v, w, basis.weight)
         if not i:
             rec.mass0, rec.energy0 = m.mass, m.energy
-        rec.add_sample(t, **_probe(u, m, gs, rec))
-        if _named(probes.snapshot_times, t):
-            rec.snapshots.append(u.copy())
+        keep, u = _named(probes.snapshot_times, t), None
+        if keep or probes.variance:
+            u = Field(f.grid, basis.unfold(v), t) if i else f.copy()
+        rec.add_sample(t, **_probe(m, u, gs, rec))
+        if keep:
+            rec.snapshots.append(u)
         if not i:
             continue  # the stopping rules compare against the t = f.t sample
         t_star = detect_blowup(rec, controls)
@@ -456,16 +449,12 @@ def evolve(
         # below the blow-up factor.  Collapse often shows 1-2 high-tail
         # samples just before the gradient condition catches up, so stop
         # only after a sustained streak with no gradient growth.
-        if (
-            rec.tail_fraction[-1] > controls.tail_max
-            and rec.grad_sq[-1] < GRAD_BLOWUP_FACTOR * rec.grad_sq[0]
-        ):
-            stalled_tail_streak += 1
-            if stalled_tail_streak >= 6:
-                rec.set_outcome(UNDERRESOLVED, t)
-                return rec
-        else:
-            stalled_tail_streak = 0
+        stalled = (rec.tail_fraction[-1] > controls.tail_max
+                   and rec.grad_sq[-1] < GRAD_BLOWUP_FACTOR * rec.grad_sq[0])
+        stalled_tail_streak = stalled_tail_streak + 1 if stalled else 0
+        if stalled_tail_streak >= 6:
+            rec.set_outcome(UNDERRESOLVED, t)
+            return rec
     rec.set_outcome(RAN_TO_T_END, t)
     return rec
 

@@ -87,13 +87,10 @@ def fold(a: np.ndarray) -> np.ndarray:
     return a[h::-1, h::-1]
 
 
-def unfold(q: np.ndarray, spectrum: bool = False) -> np.ndarray:
-    """The even n x n array of which q is the quadrant.  Index j of a field
-    is the quadrant's |j - n/2|.  Index k of a spectrum is its min(k, n - k)
-    up to a sign of (-1)^k per axis, because the grid's origin sits at
-    j = n/2; the sign is left out, as `moments` reads only |uh|^2."""
-    h = len(q) - 1
-    return np.pad(q if spectrum else q[::-1, ::-1], (0, h - 1), mode="reflect")
+def unfold(q: np.ndarray) -> np.ndarray:
+    """The even n x n array of which q is the quadrant: index j is the
+    quadrant's |j - n/2|."""
+    return np.pad(q[::-1, ::-1], (0, len(q) - 2), mode="reflect")
 
 
 def multiplicity(n: int) -> np.ndarray:
@@ -127,9 +124,9 @@ class Moments:
 
     Integrals are dx^2 * sum over the samples of |u|^2 = re^2 + im^2 and its
     cube.  The gradient norm and the momentum are Parseval sums over the
-    spectrum fft2(u), taken as k^2 and the Nyquist-zeroed k on the row and
-    column sums of |uh|^2; the tail is the share of sum |uh|^2 carried by
-    the modes past 2/3 Nyquist.
+    spectrum, taken as k^2 and the Nyquist-zeroed k on the row and column
+    sums of |uh|^2; the tail is the share of sum |uh|^2 carried by the modes
+    past 2/3 Nyquist.
     """
 
     mass: float      # int |u|^2
@@ -149,23 +146,33 @@ class Moments:
 
 
 def moments(f: Field, fh: np.ndarray | None = None) -> Moments:
-    """Mass, gradient norm, L6 integral, momentum and spectral tail of f;
-    fh, if the caller holds it, is only read and need only carry the moduli
-    of fft2(f.values), as every sum here is one of |fh|^2."""
-    g = f.grid
+    """The moments of f; fh, if the caller holds it, is only read and need
+    only carry the moduli of fft2(f.values)."""
     if fh is None:
         fh = fft.fft2(f.values)
-    p, s = abs2(fh), abs2(f.values)
+    return weighted_moments(f.grid, f.values, fh, 1.0 / f.grid.n**2)
+
+
+def weighted_moments(g: SpectralGrid, v: np.ndarray, vh: np.ndarray,
+                     weight: float | np.ndarray) -> Moments:
+    """The moments of the samples v, on the full grid or its quadrant, and
+    the moduli vh of their spectrum (fft2 or DCT-I).  weight is 1 / n^2, or
+    outer(m, m) / n^2 on the quadrant (m the `multiplicity`), where momentum
+    is 0.0: a coefficient stands for k and -k alike."""
+    h = len(v)  # n, or n/2 + 1 on the quadrant
+    k, mult = g.k1d[:h], weight * g.n**2  # mult is 1.0 on the full grid
+    s, p = abs2(v), abs2(vh)
+    p *= mult
     rows, cols = np.sum(p, axis=1), np.sum(p, axis=0)  # over ky, over kx
-    k2, kd, total = g.k1d**2, g.ikx.imag[:, 0], float(np.sum(rows))
-    w = g.dx**2 / g.n**2
+    kd = g.ikx.imag[:, 0] if h == g.n else np.zeros(h)
+    w, total = g.dx**2 / g.n**2, float(np.sum(rows))
     return Moments(
-        mass=float(g.dx**2 * np.sum(s)),
-        grad_sq=float(w * (k2 @ rows + k2 @ cols)),
-        l6_6=float(g.dx**2 * np.sum(s * s * s)),
+        mass=float(g.dx**2 * np.sum(s * mult)),
+        grad_sq=float(w * (k**2 @ rows + k**2 @ cols)),
+        l6_6=float(g.dx**2 * np.sum(s * s * s * mult)),
         px=float(w * (kd @ rows)),
         py=float(w * (kd @ cols)),
-        tail=float(np.sum(p, where=g.tail_mask) / total) if total > 0.0 else 0.0,
+        tail=float(np.sum(p, where=g.tail_mask[:h, :h]) / total) if total > 0.0 else 0.0,
     )
 
 

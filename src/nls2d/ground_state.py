@@ -332,19 +332,23 @@ def make_initial_data(
 
     The result must decay at the box boundary (sup over the outer ring below
     BOUNDARY_TOL relative to the field's own sup); otherwise the box is too
-    small for the requested datum and a ValueError is raised.
+    small for the datum and a ValueError is raised, as for a missing parameter.
     """
+    def need(key):
+        if key not in params:
+            raise ValueError(f"family {family!r} needs the parameter {key!r}")
+        return params[key]
     if family == "boosted":
-        inner = params["inner"]
-        sub = make_initial_data(inner["family"], inner.get("params", {}), grid,
-                                gs, seed=seed)
-        return galilean_boost(sub, np.asarray(params["xi"], dtype=float))
+        inner = need("inner")
+        sub = make_initial_data(inner.get("family"), inner.get("params", {}),
+                                grid, gs, seed=seed)
+        return galilean_boost(sub, np.asarray(need("xi"), dtype=float))
 
     r = np.ascontiguousarray(fold(grid.R))  # R is even: build on its quadrant
     if family in ("scaled_q", "perturbed_q"):
         if gs is None:
             raise ValueError(f"{family} needs a ground state")
-        lam = float(params["lam"])
+        lam = float(need("lam"))
         vals = lam * gs.radial_profile.q_of(lam * r)
     if family == "perturbed_q":
         eps = float(params.get("eps", 1e-3))
@@ -352,7 +356,7 @@ def make_initial_data(
             np.random.default_rng(seed).uniform(0.5, 1.5))
         vals = vals * (1.0 + eps * np.exp(-((r - rc) ** 2)))
     elif family == "gaussian":
-        amp = float(params["amplitude"])
+        amp = float(need("amplitude"))
         width = float(params.get("width", 1.0))
         vals = amp * np.exp(-r**2 / (2.0 * width**2))
     elif family != "scaled_q":

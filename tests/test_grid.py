@@ -13,6 +13,7 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy.fft import dctn
 
 from nls2d import (
     Field,
@@ -24,7 +25,7 @@ from nls2d import (
     spectral_gradient,
     write_checkpoint,
 )
-from nls2d.grid import fold, multiplicity, unfold
+from nls2d.grid import fold, multiplicity, unfold, weighted_moments
 
 
 def gaussian(grid, amp=1.0, width=1.0):
@@ -170,6 +171,27 @@ def test_moments_match_a_dense_reference():
     m = moments(Field(g, vals))
     for name, value in want.items():
         assert getattr(m, name) == pytest.approx(value, rel=1e-13, abs=0.0), name
+
+
+def test_quadrant_moments_are_the_full_grids():
+    # an even field's quadrant, its samples by fold and its DCT-I spectrum
+    # (fft2's moduli), weighted by the multiplicities, gives the full
+    # field's moments up to the order of the sums, and momentum 0.0
+    # exactly.  A weak even mode past 2/3 Nyquist keeps the tail off
+    # roundoff
+    g = SpectralGrid(128, 32.0)
+    vals = ((0.9 + 0.3j) * np.exp(-(g.X**2 / 2.9 + g.Y**2 / 1.3))
+            + 0.01 * np.exp(-g.R**2 / 4.0) * np.cos(9.5 * g.X))
+    assert np.array_equal(unfold(fold(vals)), vals)
+    q, m = fold(vals), multiplicity(g.n)
+    quad = weighted_moments(g, q, dctn(q.real, type=1) + 1j * dctn(q.imag, type=1),
+                            np.outer(m, m) / g.n**2)
+    full = moments(Field(g, vals))
+    assert full.tail > 1e-6
+    assert quad.px == quad.py == 0.0
+    for name in ("mass", "grad_sq", "l6_6", "tail"):
+        assert getattr(quad, name) == pytest.approx(getattr(full, name),
+                                                    rel=1e-14, abs=0.0), name
 
 
 def test_tail_fraction_extremes():

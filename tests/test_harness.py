@@ -365,6 +365,26 @@ def test_cli_run_failure_exit(gs_cache, tmp_path, capsys):
     assert "too small" in capsys.readouterr().err
 
 
+def test_cli_missing_family_parameter_exit(gs_cache, tmp_path, capsys):
+    # a family parameter with no default is a run failure on one line that
+    # names the family and the key, not a KeyError traceback
+    cfgp = tmp_path / "cfg.json"
+    hump = {"family": "gaussian", "params": {"amplitude": 0.3}}
+    for datum, family, key in (
+            ({"family": "gaussian", "params": {"width": 1.0}}, "gaussian",
+             "amplitude"),
+            ({"family": "scaled_q", "params": {}}, "scaled_q", "lam"),
+            ({"family": "boosted", "params": {"xi": [0.0, 0.0]}}, "boosted",
+             "inner"),
+            ({"family": "boosted", "params": {"inner": hump}}, "boosted", "xi")):
+        cfgp.write_text(json.dumps({"ground_state": {"cache": gs_cache},
+                                    "initial_data": datum, "t_end": 0.1}))
+        assert main(["run", "--config", str(cfgp), "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert f"family {family!r} needs the parameter {key!r}" in err
+        assert len(err.splitlines()) == 1
+
+
 def test_cli_run_end_to_end(gs_cache, tmp_path, capsys):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({
