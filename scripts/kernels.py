@@ -17,6 +17,13 @@ path that data even about no grid point take. A probe is what `evolve`
 runs at each probe time after the first: the inverse transform of the
 spectrum and `weighted_moments` of the field and spectrum in that basis.
 
+The scattering detector has one row: `scattering_detect` over the nine
+kept snapshots of the benchmark's `scatter-row` datum (`scaled_q` at
+lam = 0.8 on the 512/64 grid, window [0, 1], probes every 0.05, default
+step controls), which are quadrant samples, as `nls2d run` keeps them.
+`evolve_peak_mib` is `evolve`'s `tracemalloc` peak, in MiB, over that run
+with those nine snapshots kept.
+
 The set-up of a ground state and the cold path a run pays before its first
 step have six rows: `solve_radial_shooting` (median of 5 after one warm
 call, so the `scipy.integrate` import is not timed; the script also prints
@@ -38,6 +45,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -46,11 +54,13 @@ import numpy as np
 import scipy
 from scipy import fft
 
-from nls2d import (Field, SpectralGrid, StepControls, load_ground_state,
-                   moments, save_ground_state, solve_petviashvili,
+from nls2d import (Field, ProbeSpec, SpectralGrid, StepControls, evolve,
+                   load_ground_state, make_initial_data, moments,
+                   save_ground_state, scattering_detect, solve_petviashvili,
                    solve_radial_shooting)
 from nls2d import evolution, ground_state
 from nls2d.grid import weighted_moments
+from nls2d.harness import _aligned_snapshot_times
 
 N, L, DT = 512, 32.0, 1e-3
 
@@ -158,11 +168,24 @@ with tempfile.TemporaryDirectory() as tmp:
     medians["load_ground_state"] = median_ms(load_ground_state, lambda: cache,
                                              repeats=7)
 medians["q_of"] = median_ms(gs.radial_profile.q_of, lambda: grid.R, repeats=7)
+window = (0.0, 1.0)
+scatter_times = _aligned_snapshot_times(0.0, window, 0.05)
+datum = make_initial_data("scaled_q", {"lam": 0.8}, SpectralGrid(512, 64.0),
+                          gs=gs)
+tracemalloc.start()
+rec = evolve(datum, window[1], StepControls(), gs,
+             ProbeSpec(cadence=0.05, snapshot_times=scatter_times))
+evolve_peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+tracemalloc.stop()
+snaps = rec.snapshots_at(scatter_times)
+assert len(snaps) == 9 and len(snaps[0].samples) == 257
+medians["scattering_detect"] = median_ms(
+    lambda s: scattering_detect(rec, window, s), lambda: snaps, repeats=15)
 medians["import_nls2d_cli"] = import_ms()
 result = {
     "grid": {"n": N, "L": L}, "datum": "gaussian amplitude 2.5 width 1",
     "dt_fixed": DT, "unit": "ms", "medians": medians,
-    "shooting_shots": len(shots),
+    "shooting_shots": len(shots), "evolve_peak_mib": evolve_peak_mib,
     "numpy": np.__version__, "scipy": scipy.__version__,
     "python": sys.version.split()[0],
 }
@@ -171,3 +194,4 @@ with open(os.path.join(ROOT, "BENCH_kernels.json"), "w") as fh:
 for name, ms in medians.items():
     print(f"{name:22s} {ms:8.2f} ms")
 print(f"solve_radial_shooting: {len(shots)} shots, then the profile integration")
+print(f"evolve with nine snapshots kept: tracemalloc peak {evolve_peak_mib:.1f} MiB")

@@ -15,10 +15,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import fft
 
-from .grid import (Field, abs2, atomic_open, boundary_mass_fraction, moments,
-                   spectral_gradient, variance, write_float_csv)
+from .grid import (Field, abs2, atomic_open, moments, spectral_gradient,
+                   variance, write_float_csv)
 from .functionals import renormalized
-from .evolution import RAN_TO_T_END, free_flow
+from .evolution import RAN_TO_T_END, Snapshot, free_flow
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,7 @@ def virial_check_full(snapshots: list[Field], R: float | None = None) -> VirialT
     formula is compared against centered second differences of V; the
     localized column uses the compact cutoff at radius R (default L/4).  V
     and V' are NaN on a snapshot past variance's boundary-mass guard.
-    Each snapshot costs one forward and two inverse FFTs.
+    Each snapshot unfolds once and costs one forward and two inverse FFTs.
     """
     if len(snapshots) < 5:
         raise ValueError("need at least 5 uniformly spaced snapshots")
@@ -175,6 +175,7 @@ def virial_check_full(snapshots: list[Field], R: float | None = None) -> VirialT
     cutoff = Cutoff(_cutoff_radius(R, g), g)
     rows = []
     for s in snapshots:
+        s = Field(g, s.values, s.t)
         fh = fft.fft2(s.values)
         grad, vpp = spectral_gradient(s, fh), moments(s, fh).virial
         z, zp, _, ar = localized_variance(s, cutoff, grad, vpp)
@@ -324,31 +325,46 @@ class ScatteringReport:
         return {**asdict(self), "window": list(self.window)}
 
 
-def asymptotic_state_residuals(snapshots: list[Field]) -> np.ndarray:
+def asymptotic_state_residuals(snapshots: list[Snapshot]) -> np.ndarray:
     """H1 distances d(t) = ||u(t) - e^{i t lap} phi_plus|| over the snapshots.
 
     phi_plus is the last snapshot pulled back by the free flow, so d at the
     final time is zero by construction; the content is how d behaves before
     that. Purely linear trajectories give d identically zero.  Each d is a
-    Parseval sum over the spectrum, one FFT per earlier snapshot.
+    Parseval sum in the snapshots' basis, one transform per earlier snapshot.
     """
     if len(snapshots) < 2:
         raise ValueError("need at least two snapshots")
-    g = snapshots[-1].grid
-    T2 = snapshots[-1].t
-    last = fft.fft2(snapshots[-1].values)
-    k2 = g.k1d**2
+    g, b, T2 = snapshots[-1].grid, snapshots[-1].basis, snapshots[-1].t
+    last = b.forward(snapshots[-1].samples)
+    k2, mult = b.k**2, b.weight * g.n**2  # mult is 1.0 on the full grid
     d = []
     for s in snapshots[:-1]:
         # sum (1 + |k|^2) |dh|^2, the |k|^2 part on the axis sums of |dh|^2
-        p = abs2(fft.fft2(s.values) - free_flow(last.copy(), s.t - T2, g.k1d))
+        p = mult * abs2(b.forward(s.samples) - free_flow(last.copy(), s.t - T2, b.k))
         rows, cols = np.sum(p, axis=1), np.sum(p, axis=0)
         d.append(g.dx / g.n * np.sqrt(np.sum(rows) + k2 @ rows + k2 @ cols))
     return np.array(d + [0.0])
 
 
+def box_exit_fraction(snapshots: list[Snapshot]) -> float:
+    """The largest share of the mass in the outermost two-cell ring over
+    snapshots of one run, read in their basis: per axis, a basis index
+    weighs the inner grid indices 2 ... n-3 its unfold fills, roll included."""
+    b, h, fracs = snapshots[0].basis, len(snapshots[0].samples), []
+    i, j = np.indices((h, h))  # the basis index on each axis
+    rows, cols = (np.bincount(a[2:-2], minlength=h)
+                  for a in (b.unfold(i)[:, 0], b.unfold(j)[0]))
+    for s in snapshots:
+        a2 = abs2(s.samples)
+        total = np.sum(a2 * (b.weight * s.grid.n**2))
+        inner = np.einsum("i,ij,j->", rows, a2, cols)
+        fracs.append((total - inner) / total if total else 0.0)
+    return float(max(fracs))
+
+
 def scattering_detect(rec, window: tuple[float, float],
-                      snapshots: list[Field]) -> ScatteringReport:
+                      snapshots: list[Snapshot]) -> ScatteringReport:
     """Scattering detector over [T1, T2]: L6 decay plus free-flow comparison.
 
     Requires a trajectory that ran to its end without blow-up; reads the
@@ -379,7 +395,7 @@ def scattering_detect(rec, window: tuple[float, float],
     monotone = bool(np.all(d[1:] <= 1.1 * d[:-1] + noise))
     d_t2 = float(d[-1] / h1_0)
     d_mid = float(d[-2] / h1_0)
-    box_exit = bool(max(boundary_mass_fraction(s) for s in snaps) > 1e-6)
+    box_exit = box_exit_fraction(snaps) > 1e-6
     ok = decay >= 10.0 and monotone and d_mid <= 0.05
     return ScatteringReport(
         l6_decay_factor=decay,

@@ -51,8 +51,8 @@ stage costs two DCT-I transforms at 257^2, about half of two FFTs at 512^2,
 and a quarter of the elementwise work: a fixed-dt Strang step at 512 took
 4-7 ms against 11-14 ms on a shared two-core machine.  Every other datum
 steps on the full grid, bit for bit as before the quadrant.  A probe reads
-the basis it steps in, with the sum bound's weights (`weighted_moments`);
-only a kept snapshot or the variance column unfolds it, rolled back by c.
+the basis it steps in, with the sum bound's weights (`weighted_moments`),
+and a `Snapshot` keeps its samples, unfolded (rolled back by c) on read.
 
 The driver integrates between probe times, records norms and conserved
 drift, monitors the spectral tail as a resolution certificate, and converts
@@ -154,14 +154,14 @@ COLUMNS = ("grad_sq", "l6_6", "mass_drift", "energy_drift", "momx", "momy",
 
 class TrajectoryRecord:
     """Time series of norms and drifts along one simulated trajectory: the
-    list `times` and one list per name in `columns`."""
+    list `times`, one list per name in `columns`, and kept `Snapshot`s."""
 
     def __init__(self, variance: bool = False):
         self.columns = COLUMNS if variance else COLUMNS[:-1]
         self.times: list[float] = []
         for c in self.columns:
             setattr(self, c, [])
-        self.snapshots: list[Field] = []
+        self.snapshots: list[Snapshot] = []
         self.outcome: str | None = None
         self.outcome_t: float | None = None
         self.steps_taken: int = 0
@@ -188,8 +188,8 @@ class TrajectoryRecord:
     def t_star(self) -> float | None:
         return self.outcome_t if self.outcome == BLOWUP_DETECTED else None
 
-    def snapshots_at(self, times) -> list[Field]:
-        """The kept fields whose times `times` names, in time order."""
+    def snapshots_at(self, times) -> list[Snapshot]:
+        """The kept probes whose times `times` names, in time order."""
         return [s for s in self.snapshots if _named(times, s.t)]
 
 
@@ -224,10 +224,26 @@ class Basis(NamedTuple):
     unfold: Callable = lambda a: a
 
 
+class Snapshot:
+    """A kept probe: its samples at t in the basis the run stepped in."""
+
+    def __init__(self, grid, samples: np.ndarray, t: float, basis: Basis):
+        self.grid, self.samples, self.t, self.basis = grid, samples, t, basis
+
+    @property
+    def values(self) -> np.ndarray:  # the full grid's, unfolded on each read
+        return self.basis.unfold(self.samples)
+
+
+def full_basis(grid) -> Basis:
+    """The full grid's FFT basis; 1 / n^2, a power of two, scales exactly."""
+    return Basis(fft.fft2, fft.ifft2, grid.k1d, 1.0 / grid.n**2)
+
+
 def _is_even(v: np.ndarray) -> bool:
     """Whether v[j] == v[-j mod n] on both axes, to the bit: even about 0."""
-    return (np.array_equal(v[1:], v[:0:-1])
-            and np.array_equal(v[:, 1:], v[:, :0:-1]))
+    b = v.view(np.int64).reshape(*v.shape, 2)  # the bits: -0.0 is not 0.0
+    return np.array_equal(b[1:], b[:0:-1]) and np.array_equal(b[:, 1:], b[:, :0:-1])
 
 
 def _centre(v: np.ndarray) -> tuple[int, int] | None:
@@ -251,8 +267,7 @@ def _basis(f: Field) -> Basis:
     on the full grid."""
     n, c = f.grid.n, _centre(f.values)
     if c is None:
-        # 1 / n^2 is a power of two, so it scales the sum of |w| exactly
-        return Basis(fft.fft2, fft.ifft2, f.grid.k1d, 1.0 / n**2)
+        return full_basis(f.grid)
     m = multiplicity(n)
     basis = Basis(_dct1(fft.dctn), _dct1(fft.idctn), f.grid.k1d[:len(m)],
                   np.outer(m, m) / n**2, fold, unfold)
@@ -382,7 +397,7 @@ def detect_blowup(rec: TrajectoryRecord, controls: StepControls) -> float | None
     return None
 
 
-def _probe(m: Moments, u: Field | None, gs, rec: TrajectoryRecord) -> dict:
+def _probe(m: Moments, u: Snapshot, gs, rec: TrajectoryRecord) -> dict:
     """The row of rec's columns from the moments m; u is read for variance."""
     # drifts compare against the t = 0 sample, read by the same kernel, so
     # no change of estimator can masquerade as conservation loss
@@ -433,9 +448,8 @@ def evolve(f: Field, t_end: float, controls: StepControls, gs,
         m = weighted_moments(f.grid, v, w, basis.weight)
         if not i:
             rec.mass0, rec.energy0 = m.mass, m.energy
-        keep, u = _named(probes.snapshot_times, t), None
-        if keep or probes.variance:
-            u = Field(f.grid, basis.unfold(v), t) if i else f.copy()
+        keep = _named(probes.snapshot_times, t)
+        u = Snapshot(f.grid, v if i else v.copy(), t, basis)
         rec.add_sample(t, **_probe(m, u, gs, rec))
         if keep:
             rec.snapshots.append(u)

@@ -114,9 +114,6 @@ class Field:
         self.values = values
         self.t = float(t)
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy(), self.t)
-
 
 @dataclass(frozen=True)
 class Moments:

@@ -340,6 +340,9 @@ def make_initial_data(
         return params[key]
     if family == "boosted":
         inner = need("inner")
+        if not isinstance(inner, dict):
+            raise ValueError(f"family {family!r} needs the parameter 'inner' "
+                             f"as an object, got {inner!r}")
         sub = make_initial_data(inner.get("family"), inner.get("params", {}),
                                 grid, gs, seed=seed)
         return galilean_boost(sub, np.asarray(need("xi"), dtype=float))

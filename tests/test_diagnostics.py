@@ -23,7 +23,12 @@ from nls2d import (
     variance_derivative,
     virial_check_full,
 )
-from nls2d.diagnostics import _phi_derivs
+from nls2d import evolution
+from nls2d.evolution import Snapshot, full_basis
+from nls2d.diagnostics import (_phi_derivs, asymptotic_state_residuals,
+                               box_exit_fraction)
+from nls2d.grid import boundary_mass_fraction, unfold
+from nls2d.harness import _aligned_snapshot_times
 
 
 def gaussian(grid, amp=1.0, width=1.0, center=(0.0, 0.0)):
@@ -277,7 +282,8 @@ def test_blowup_time_bound_exterior_budget(gs_cert, grid_cert):
 # scattering detector
 
 def _free_flow_record(grid, t2, k_snaps):
-    """Exactly linear trajectory: snapshots under the free flow."""
+    """Exactly linear trajectory: snapshots under the free flow, kept on
+    the full grid."""
     f = gaussian(grid, 0.5, 1.0)
     fh = np.fft.fft2(f.values)
     rec = TrajectoryRecord()
@@ -290,7 +296,7 @@ def _free_flow_record(grid, t2, k_snaps):
         rec.add_sample(t=float(t), grad_sq=m.grad_sq,
                        l6_6=m.l6_6, mass_drift=0.0, energy_drift=0.0,
                        momx=0.0, momy=0.0, G=0.1, tail_fraction=0.0)
-        rec.snapshots.append(u)
+        rec.snapshots.append(Snapshot(grid, u.values, u.t, full_basis(grid)))
     rec.set_outcome(RAN_TO_T_END, t2)
     return rec
 
@@ -309,6 +315,54 @@ def test_scattering_detect_on_free_flow(grid_128):
     assert keys == {"l6_decay_factor", "d_T2_over_H1", "verdict",
                     "d_mid_over_H1", "monotone_ok", "box_exit_flagged",
                     "window"}
+
+
+def test_detector_on_the_quadrant_matches_the_full_grid(gs_cert, grid_128,
+                                                        monkeypatch):
+    # an even datum keeps its probes on the quadrant and the detector reads
+    # them in the DCT-I basis; the full grid's FFT path, forced, gives the
+    # same distances and box-exit fraction to roundoff.  A kept snapshot's
+    # values are its samples unfolded, to the bit
+    g, h = grid_128, grid_128.n // 2 + 1
+    f = gaussian(g, 0.8, 1.0)
+    window = (0.0, 1.0)
+    times = _aligned_snapshot_times(f.t, window, 0.05)
+
+    def run():
+        rec = evolve(f, window[1], StepControls(), gs_cert,
+                     ProbeSpec(cadence=0.05, snapshot_times=times))
+        snaps = rec.snapshots_at(times)
+        return (snaps, asymptotic_state_residuals(snaps),
+                box_exit_fraction(snaps), scattering_detect(rec, window, snaps))
+
+    quad, quad_d, quad_frac, quad_report = run()
+    monkeypatch.setattr(evolution, "_is_even", lambda v: False)
+    full, full_d, full_frac, full_report = run()
+    assert len(quad) == len(full) == 9
+    for q, s in zip(quad, full):
+        assert q.samples.shape == (h, h) and s.samples.shape == (g.n, g.n)
+        assert np.array_equal(q.values, unfold(q.samples))
+    assert full_d[0] > 1e-3 and quad_d[-1] == full_d[-1] == 0.0
+    assert np.all(np.abs(quad_d - full_d) <= 1e-12 * full_d)
+    assert abs(quad_frac - full_frac) <= 1e-14
+    assert quad_report.verdict == full_report.verdict
+    assert quad_report.monotone_ok == full_report.monotone_ok
+    assert quad_report.box_exit_flagged == full_report.box_exit_flagged
+
+    # rolled so that its peak sits on the box's last row, the hump steps on
+    # the quadrant rolled back, and the ring counts of each quadrant index
+    # give the unfolded field's boundary mass fraction
+    shift = (g.n // 2 - 1, 37)
+    monkeypatch.undo()
+    rolled = Field(g, np.roll(f.values, shift, (0, 1)))
+    rec = evolve(rolled, 0.1, StepControls(), gs_cert,
+                 ProbeSpec(cadence=0.05, snapshot_times=(0.0, 0.05, 0.1)))
+    for s in rec.snapshots:
+        assert s.samples.shape == (h, h)
+        assert np.array_equal(s.values, np.roll(unfold(s.samples), shift, (0, 1)))
+        want = boundary_mass_fraction(Field(g, s.values))
+        assert want > 0.1
+        assert abs(box_exit_fraction([s]) - want) <= 1e-14
 
 
 def test_scattering_detect_guards(grid_128):

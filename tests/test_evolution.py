@@ -521,6 +521,26 @@ def test_snapshots_at_requested_times(gs_cert, grid_128):
     assert np.array_equal(rec2.snapshots[-1].values, rec.snapshots[-1].values)
 
 
+def test_even_data_keep_quadrant_snapshots(gs_cert, grid_128):
+    # a kept probe of an even run holds the (n/2+1)^2 samples it stepped,
+    # its own copy at t = 0, and no n^2 array: a read of values unfolds
+    # them afresh and keeps nothing
+    n, h = grid_128.n, grid_128.n // 2 + 1
+    f = gaussian(grid_128, 0.4, 1.2)
+    rec = evolve(f, 0.2, StepControls(), gs_cert,
+                 ProbeSpec(cadence=0.05, snapshot_times=(0.0, 0.1, 0.2)))
+
+    def arrays(s):
+        return [a.shape for a in vars(s).values() if isinstance(a, np.ndarray)]
+
+    assert not np.shares_memory(rec.snapshots[0].samples, f.values)
+    assert np.array_equal(rec.snapshots[0].values, f.values)
+    for s in rec.snapshots:
+        assert arrays(s) == [(h, h)]
+        assert s.values.shape == (n, n)
+        assert arrays(s) == [(h, h)]
+
+
 def test_galilean_covariance_of_split_flow(gs_cert):
     # both sub-flows transform exactly under a lattice boost, so the full
     # discrete trajectory satisfies the continuum covariance identity
@@ -622,15 +642,18 @@ def test_even_data_step_on_the_quadrant(gs_cert, grid_128, monkeypatch, family,
 def test_a_datum_off_symmetry_steps_on_the_full_grid(gs_cert, grid_128,
                                                       monkeypatch):
     # one sample one ulp off its mirror image makes the datum uneven about
-    # every grid point, centred or rolled; a hump off the grid points in x
-    # is even about a grid point in y only.  Each takes the full grid's
-    # path, bit for bit
+    # every grid point, centred or rolled, and so does one -0.0 whose mirror
+    # image is 0.0; a hump off the grid points in x is even about a grid
+    # point in y only.  Each takes the full grid's path, bit for bit
     g = grid_128
     vals = gaussian(g, 2.0, 1.0).values.copy()
     j = g.n // 2 + 3
+    signed = vals.copy()
+    signed.imag[j, j - 4] = -0.0
     vals[j, j - 4] = np.nextafter(vals[j, j - 4].real, np.inf)
     data = (vals, np.roll(vals, (5, -17), axis=(0, 1)),
-            2.0 * np.exp(-((g.X - 0.3 * g.dx) ** 2 + g.Y**2) / 2.0) + 0j)
+            2.0 * np.exp(-((g.X - 0.3 * g.dx) ** 2 + g.Y**2) / 2.0) + 0j,
+            signed)
     assert np.array_equal(data[2][:, 1:], data[2][:, :0:-1])  # even in y
     fields = [Field(g, v) for v in data]
     assert not any(on_quadrant(g, f.values) for f in fields)

@@ -366,8 +366,9 @@ def test_cli_run_failure_exit(gs_cache, tmp_path, capsys):
 
 
 def test_cli_missing_family_parameter_exit(gs_cache, tmp_path, capsys):
-    # a family parameter with no default is a run failure on one line that
-    # names the family and the key, not a KeyError traceback
+    # a family parameter with no default, or a boosted datum's inner that
+    # is not an object, is a run failure on one line that names the family
+    # and the key, not a KeyError or AttributeError traceback
     cfgp = tmp_path / "cfg.json"
     hump = {"family": "gaussian", "params": {"amplitude": 0.3}}
     for datum, family, key in (
@@ -376,7 +377,10 @@ def test_cli_missing_family_parameter_exit(gs_cache, tmp_path, capsys):
             ({"family": "scaled_q", "params": {}}, "scaled_q", "lam"),
             ({"family": "boosted", "params": {"xi": [0.0, 0.0]}}, "boosted",
              "inner"),
-            ({"family": "boosted", "params": {"inner": hump}}, "boosted", "xi")):
+            ({"family": "boosted", "params": {"inner": hump}}, "boosted", "xi"),
+            ({"family": "boosted", "params": {"inner": "gaussian",
+                                              "xi": [0.0, 0.0]}},
+             "boosted", "inner")):
         cfgp.write_text(json.dumps({"ground_state": {"cache": gs_cache},
                                     "initial_data": datum, "t_end": 0.1}))
         assert main(["run", "--config", str(cfgp), "--out", str(tmp_path)]) == 4
