@@ -17,10 +17,10 @@ path that data even about no grid point take. A probe is what `evolve`
 runs at each probe time after the first: the inverse transform of the
 spectrum and `weighted_moments` of the field and spectrum in that basis.
 
-The scattering detector has one row: `scattering_detect` over the nine
-kept snapshots of the benchmark's `scatter-row` datum (`scaled_q` at
-lam = 0.8 on the 512/64 grid, window [0, 1], probes every 0.05, default
-step controls), which are quadrant samples, as `nls2d run` keeps them.
+The benchmark's `scatter-row` datum (`scaled_q` at lam = 0.8 on the 512/64
+grid) has two rows: `classify` on it, and `scattering_detect` over the nine
+kept snapshots of its run (window [0, 1], probes every 0.05, default step
+controls), which are quadrant samples, as `nls2d run` keeps them.
 `evolve_peak_mib` is `evolve`'s `tracemalloc` peak, in MiB, over that run
 with those nine snapshots kept.
 
@@ -54,12 +54,12 @@ import numpy as np
 import scipy
 from scipy import fft
 
-from nls2d import (Field, ProbeSpec, SpectralGrid, StepControls, evolve,
-                   load_ground_state, make_initial_data, moments,
+from nls2d import (Field, ProbeSpec, SpectralGrid, StepControls, classify,
+                   evolve, load_ground_state, make_initial_data, moments,
                    save_ground_state, scattering_detect, solve_petviashvili,
                    solve_radial_shooting)
 from nls2d import evolution, ground_state
-from nls2d.grid import weighted_moments
+from nls2d.grid import fold, weighted_moments
 from nls2d.harness import _aligned_snapshot_times
 
 N, L, DT = 512, 32.0, 1e-3
@@ -118,7 +118,7 @@ w = fft.fft2(v)
 # the one it gets tilted by a plane wave, which keeps |u| but leaves it even
 # about no grid point
 quadrant = evolution._basis(Field(grid, v))
-vq = np.ascontiguousarray(quadrant.fold(v))
+vq = fold(v, quadrant.c)
 wq = quadrant.forward(vq)
 full = evolution._basis(Field(grid, v * np.exp(2j * np.pi * grid.X / L)))
 assert full.forward is fft.fft2
@@ -172,6 +172,8 @@ window = (0.0, 1.0)
 scatter_times = _aligned_snapshot_times(0.0, window, 0.05)
 datum = make_initial_data("scaled_q", {"lam": 0.8}, SpectralGrid(512, 64.0),
                           gs=gs)
+medians["classify"] = median_ms(lambda f: classify(f, gs), lambda: datum,
+                                repeats=15)
 tracemalloc.start()
 rec = evolve(datum, window[1], StepControls(), gs,
              ProbeSpec(cadence=0.05, snapshot_times=scatter_times))

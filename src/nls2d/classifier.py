@@ -5,7 +5,8 @@ to the ground-state scales: after removing the momentum contribution, data
 inside the admissible window split across the unit threshold of G^2 - Pn^2
 into a scattering branch and a blow-up/divergence branch.  The verdict is a
 statement about the datum; `reconcile` cross-checks it against what a
-simulated trajectory actually did.
+simulated trajectory actually did.  It reads the datum by `read_field`, as
+a run's t = 0 probe does, so G0 and ME are the run's first G and M E.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import Field, atomic_open, boundary_mass_fraction, moments
+from .grid import Field, abs2, atomic_open, boundary_mass_fraction
 from .functionals import RenormalizedSet, renormalized, window_check
 from .diagnostics import radial_asymmetry
 from .evolution import (BLOWUP_DETECTED, GRAD_BLOWUP_FACTOR, RAN_TO_T_END,
-                        UNDERRESOLVED)
+                        UNDERRESOLVED, read_field)
 
 CASE_SCATTER = "scatter"
 CASE_BLOWUP = "blowup_or_diverge"
@@ -59,10 +60,7 @@ def write_verdict_json(verdict: Verdict, path: str) -> None:
 
 
 def is_radial(f: Field, rel_tol: float = 1e-8) -> bool:
-    sup = float(abs(f.values).max())
-    if sup == 0.0:
-        return True
-    return radial_asymmetry(f) <= rel_tol * sup
+    return radial_asymmetry(f) <= rel_tol * float(abs(f.values).max())
 
 
 def classify(f: Field, gs, tol: float = 1e-4) -> Verdict:
@@ -81,12 +79,12 @@ def classify(f: Field, gs, tol: float = 1e-4) -> Verdict:
     """
     if not gs.certified:
         raise ValueError("classification requires a certified ground state")
-    m = moments(f)
+    basis, samples, _, m = read_field(f)
     rn = renormalized(m, gs)
     me2 = rn.ME - 2.0 * rn.Pn**2
     g2 = rn.G**2 - rn.Pn**2
     radial = is_radial(f)
-    fin_var = boundary_mass_fraction(f) <= 1e-10
+    fin_var = boundary_mass_fraction(abs2(samples), basis.c) <= 1e-10
 
     # admissible window is checked on the zero-momentum reduction; the
     # reduced invariants follow algebraically: removing the traveling-frame

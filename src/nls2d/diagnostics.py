@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import fft
 
-from .grid import (Field, abs2, atomic_open, moments, spectral_gradient,
-                   variance, write_float_csv)
+from .grid import (Field, abs2, atomic_open, boundary_mass_fraction, moments,
+                   spectral_gradient, variance, write_float_csv)
 from .functionals import renormalized
 from .evolution import RAN_TO_T_END, Snapshot, free_flow
 
@@ -217,11 +217,11 @@ def radial_asymmetry(f: Field) -> float:
     idx = np.arange(n) - n // 2
     r2 = (idx[:, None] ** 2 + idx[None, :] ** 2).ravel()
     vals = f.values.ravel()
-    _, inverse = np.unique(r2, return_inverse=True)
-    counts = np.bincount(inverse)
-    mean_re = np.bincount(inverse, weights=vals.real) / counts
-    mean_im = np.bincount(inverse, weights=vals.imag) / counts
-    avg = (mean_re + 1j * mean_im)[inverse]
+    counts = np.bincount(r2)  # bins no i^2 + j^2 hits are 0 / 0, never read
+    with np.errstate(invalid="ignore"):
+        mean_re = np.bincount(r2, weights=vals.real) / counts
+        mean_im = np.bincount(r2, weights=vals.imag) / counts
+    avg = (mean_re + 1j * mean_im)[r2]
     return float(np.max(np.abs(vals - avg)))
 
 
@@ -347,22 +347,6 @@ def asymptotic_state_residuals(snapshots: list[Snapshot]) -> np.ndarray:
     return np.array(d + [0.0])
 
 
-def box_exit_fraction(snapshots: list[Snapshot]) -> float:
-    """The largest share of the mass in the outermost two-cell ring over
-    snapshots of one run, read in their basis: per axis, a basis index
-    weighs the inner grid indices 2 ... n-3 its unfold fills, roll included."""
-    b, h, fracs = snapshots[0].basis, len(snapshots[0].samples), []
-    i, j = np.indices((h, h))  # the basis index on each axis
-    rows, cols = (np.bincount(a[2:-2], minlength=h)
-                  for a in (b.unfold(i)[:, 0], b.unfold(j)[0]))
-    for s in snapshots:
-        a2 = abs2(s.samples)
-        total = np.sum(a2 * (b.weight * s.grid.n**2))
-        inner = np.einsum("i,ij,j->", rows, a2, cols)
-        fracs.append((total - inner) / total if total else 0.0)
-    return float(max(fracs))
-
-
 def scattering_detect(rec, window: tuple[float, float],
                       snapshots: list[Snapshot]) -> ScatteringReport:
     """Scattering detector over [T1, T2]: L6 decay plus free-flow comparison.
@@ -395,7 +379,8 @@ def scattering_detect(rec, window: tuple[float, float],
     monotone = bool(np.all(d[1:] <= 1.1 * d[:-1] + noise))
     d_t2 = float(d[-1] / h1_0)
     d_mid = float(d[-2] / h1_0)
-    box_exit = box_exit_fraction(snaps) > 1e-6
+    box_exit = max(boundary_mass_fraction(abs2(s.samples), s.basis.c)
+                   for s in snaps) > 1e-6
     ok = decay >= 10.0 and monotone and d_mid <= 0.05
     return ScatteringReport(
         l6_decay_factor=decay,

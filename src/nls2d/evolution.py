@@ -39,20 +39,21 @@ theta overflow, so a step stops at its first stage with a non-finite max
 |theta|.
 
 A datum even in x and in y to the bit about a grid point c, v[c + j] ==
-v[c - j mod n] on both axes, stays even under both sub-flows, so it steps
-rolled by -c on its (n/2+1)^2 quadrant in the DCT-I basis (Boyd 2001,
-ch. 8), where the sum bound counts a coefficient once at k = 0 and k = n/2
-and twice elsewhere, per axis.  `_centre` tries c = 0 first, then the c that
-moves the circular mean of the |v|^2 marginals to the origin j = n/2 (a
-ring's centre too, where its peak is not): a datum translated by whole
-grid points gives the bits of the centred one, translated.  The quadrant's
-layout lives in `grid`, shared with the ground-state solve.  A quadrant
-stage costs two DCT-I transforms at 257^2, about half of two FFTs at 512^2,
-and a quarter of the elementwise work: a fixed-dt Strang step at 512 took
-4-7 ms against 11-14 ms on a shared two-core machine.  Every other datum
-steps on the full grid, bit for bit as before the quadrant.  A probe reads
-the basis it steps in, with the sum bound's weights (`weighted_moments`),
-and a `Snapshot` keeps its samples, unfolded (rolled back by c) on read.
+v[c - j mod n] on both axes, stays even under both sub-flows, so it steps on
+its (n/2+1)^2 quadrant about c in the DCT-I basis (Boyd 2001, ch. 8), where
+the sum bound counts a coefficient once at k = 0 and k = n/2 and twice
+elsewhere, per axis.  `_centre` tries c = 0, then the c that moves the
+circular mean of the |v|^2 marginals to j = n/2 (a ring's centre too): a
+datum translated by whole grid points gives the centred one's bits,
+translated.  A quadrant stage costs two DCT-I transforms at 257^2, half of
+two FFTs at 512^2, and a quarter of the elementwise work (a fixed-dt Strang
+step at 512: 4-7 ms against 11-14 ms on a shared two-core machine).  Every
+other datum steps on the full grid.  A `Basis` records c, the layout that
+`grid.fold` and `unfold` read; a probe reads the basis it steps in with the
+sum bound's weights (`weighted_moments`), and a `Snapshot` keeps its
+samples, unfolded on read.  The t = 0 probe is `read_field`, the reading
+that `classify` and the ground state's certificate take too, so a verdict's
+G0 is the trajectory's first G to the bit.
 
 The driver integrates between probe times, records norms and conserved
 drift, monitors the spectral tail as a resolution certificate, and converts
@@ -214,14 +215,14 @@ def _support(hot: np.ndarray) -> list[slice]:
 class Basis(NamedTuple):
     """A transform pair (both take overwrite_x), the wavenumber of each
     spectral index per axis, weights: sum(weight |w|) = sum |uh| / n^2, and
-    the maps from a full-grid field to the samples it steps and back."""
+    the layout of the samples it steps, for `grid.fold` and `unfold`: c, the
+    centre of a quadrant basis, or None on the full grid."""
 
     forward: Callable
     inverse: Callable
     k: np.ndarray
     weight: float | np.ndarray
-    fold: Callable = lambda a: a
-    unfold: Callable = lambda a: a
+    c: tuple[int, int] | None
 
 
 class Snapshot:
@@ -232,12 +233,12 @@ class Snapshot:
 
     @property
     def values(self) -> np.ndarray:  # the full grid's, unfolded on each read
-        return self.basis.unfold(self.samples)
+        return unfold(self.samples, self.basis.c)
 
 
 def full_basis(grid) -> Basis:
     """The full grid's FFT basis; 1 / n^2, a power of two, scales exactly."""
-    return Basis(fft.fft2, fft.ifft2, grid.k1d, 1.0 / grid.n**2)
+    return Basis(fft.fft2, fft.ifft2, grid.k1d, 1.0 / grid.n**2, None)
 
 
 def _is_even(v: np.ndarray) -> bool:
@@ -269,13 +270,17 @@ def _basis(f: Field) -> Basis:
     if c is None:
         return full_basis(f.grid)
     m = multiplicity(n)
-    basis = Basis(_dct1(fft.dctn), _dct1(fft.idctn), f.grid.k1d[:len(m)],
-                  np.outer(m, m) / n**2, fold, unfold)
-    if c != (0, 0):
-        basis = basis._replace(
-            fold=lambda a: fold(np.roll(a, np.negative(c), (0, 1))),
-            unfold=lambda q: np.roll(unfold(q), c, (0, 1)))
-    return basis
+    return Basis(_dct1(fft.dctn), _dct1(fft.idctn), f.grid.k1d[:len(m)],
+                 np.outer(m, m) / n**2, c)
+
+
+def read_field(f: Field):
+    """(basis, samples, spectrum, moments) of f in the basis it steps in: the
+    one reading of a run's t = 0 probe, `classify` and Q's certificate."""
+    basis = _basis(f)
+    v = fold(f.values, basis.c)
+    w = basis.forward(v)
+    return basis, v, w, weighted_moments(f.grid, v, w, basis.weight)
 
 
 def _dct1(transform) -> Callable:
@@ -366,12 +371,13 @@ def step_strang(f: Field, dt: float) -> Field:
     if dt <= 1e-12:
         raise ValueError(f"dt must exceed 1e-12, got {dt:g}")
     basis = _basis(f)
-    v = basis.fold(f.values)
+    v = fold(f.values, basis.c)
     w, _, _ = _advance(basis.forward(v), v, 0.0, dt,
                        StepControls(dt_min=dt, dt_max=dt), basis)
     if w is None:
         raise ValueError("the step overflowed to non-finite samples")
-    return Field(f.grid, basis.unfold(basis.inverse(w, overwrite_x=True)), f.t + dt)
+    return Field(f.grid, unfold(basis.inverse(w, overwrite_x=True), basis.c),
+                 f.t + dt)
 
 
 def detect_blowup(rec: TrajectoryRecord, controls: StepControls) -> float | None:
@@ -430,10 +436,9 @@ def evolve(f: Field, t_end: float, controls: StepControls, gs,
         raise ValueError("t_end must exceed the field's current time")
     rec = TrajectoryRecord(probes.variance)
     n_probes = max(int(round((t_end - f.t) / probes.cadence)), 1)
-    stalled_tail_streak = 0
-    basis, t = _basis(f), f.t
-    v = basis.fold(f.values)  # the t = f.t probe reads the datum itself
-    w = basis.forward(v)
+    stalled_tail_streak, t = 0, f.t
+    basis, v, w, m = read_field(f)  # the t = f.t probe reads the datum itself
+    rec.mass0, rec.energy0 = m.mass, m.energy
     for i in range(n_probes + 1):
         target = f.t + i * probes.cadence if i < n_probes else t_end
         w, t, steps = _advance(w, v, t, target, controls, basis)
@@ -445,13 +450,10 @@ def evolve(f: Field, t_end: float, controls: StepControls, gs,
         t = target  # resync against accumulated roundoff
         if i:
             v = basis.inverse(w)
-        m = weighted_moments(f.grid, v, w, basis.weight)
-        if not i:
-            rec.mass0, rec.energy0 = m.mass, m.energy
-        keep = _named(probes.snapshot_times, t)
+            m = weighted_moments(f.grid, v, w, basis.weight)
         u = Snapshot(f.grid, v if i else v.copy(), t, basis)
         rec.add_sample(t, **_probe(m, u, gs, rec))
-        if keep:
+        if _named(probes.snapshot_times, t):
             rec.snapshots.append(u)
         if not i:
             continue  # the stopping rules compare against the t = f.t sample

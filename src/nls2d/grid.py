@@ -6,10 +6,13 @@ of interest decay below roundoff before they reach the boundary.  All
 derivatives are Fourier multipliers and all integrals are the rectangle rule
 dx^2 * sum, which is spectrally accurate for smooth periodic integrands.
 
-The origin sits at j = n/2, so a field even in x and in y is fixed by its
-(n/2+1)^2 quadrant j = n/2 ... n: `fold` indexes it by |j - n/2|, `unfold`
-extends it back, and a quadrant sample or DCT-I coefficient (Boyd 2001,
-ch. 8) stands for `multiplicity` of the grid's per axis.
+A field even in x and in y about a grid point c (the origin j = n/2 for
+c = 0) is fixed by its (n/2+1)^2 quadrant: `fold` takes it, indexed by the
+distance from c, `unfold` extends it back, and a quadrant sample or DCT-I
+coefficient (Boyd 2001, ch. 8) stands for `multiplicity` of the grid's per
+axis.  c = None names the full grid's own layout, so `fold`, `unfold` and
+`boundary_mass_fraction` read either; the last counts in O(n) the box's
+inner rows that each quadrant index stands for.
 """
 
 from __future__ import annotations
@@ -81,22 +84,34 @@ class SpectralGrid:
         return SpectralGrid, (self.n, self.L)
 
 
-def fold(a: np.ndarray) -> np.ndarray:
-    """The quadrant of an n x n array, index i at |j - n/2| = i per axis."""
-    h = len(a) // 2
-    return a[h::-1, h::-1]
+def fold(a: np.ndarray, c: tuple[int, int] | None) -> np.ndarray:
+    """The samples of an n x n array: a itself if c is None, else the
+    quadrant of a even about the grid point c, whose index i holds grid
+    index (c + n/2 - i) mod n per axis."""
+    if c is None:
+        return a
+    n = len(a)
+    return a[np.ix_(*((ci + n // 2 - np.arange(n // 2 + 1)) % n for ci in c))]
 
 
-def unfold(q: np.ndarray) -> np.ndarray:
-    """The even n x n array of which q is the quadrant: index j is the
-    quadrant's |j - n/2|."""
-    return np.pad(q[::-1, ::-1], (0, len(q) - 2), mode="reflect")
+def unfold(q: np.ndarray, c: tuple[int, int] | None) -> np.ndarray:
+    """The n x n array whose samples (see `fold`) are q."""
+    if c is None:
+        return q
+    n = 2 * len(q) - 2
+    return q[np.ix_(*(_quadrant_index(n, ci) for ci in c))]
 
 
 def multiplicity(n: int) -> np.ndarray:
     """How many of the grid's n indices per axis each quadrant index stands
     for: 1 at 0 and n/2, 2 elsewhere."""
     return np.where(np.arange(n // 2 + 1) % (n // 2), 2.0, 1.0)
+
+
+def _quadrant_index(n: int, c: int) -> np.ndarray:
+    """The quadrant index of each of an axis's n grid indices j, for an
+    array even about c: |(j - c) mod n - n/2|."""
+    return np.abs((np.arange(n) - c) % n - n // 2)
 
 
 class Field:
@@ -191,28 +206,29 @@ def spectral_gradient(f: Field, fh: np.ndarray | None = None
 
 def boundary_sup(f: Field) -> float:
     """Max |f| on the outermost one-cell ring of the box."""
-    a = np.abs(f.values)
-    return float(
-        max(a[0, :].max(), a[-1, :].max(), a[:, 0].max(), a[:, -1].max())
-    )
+    v = f.values  # |.| of the ring alone, not of the n^2 samples
+    return float(max(np.abs(v[[0, -1]]).max(), np.abs(v[:, [0, -1]]).max()))
 
 
-def boundary_mass_fraction(f: Field, a2: np.ndarray | None = None) -> float:
-    """Share of the mass integral sitting in the outermost two-cell ring;
-    a2 is abs2(f.values) if the caller holds it."""
-    if a2 is None:
-        a2 = abs2(f.values)
-    total = np.sum(a2)
-    if total == 0.0:
-        return 0.0
-    inner = np.sum(a2[2:-2, 2:-2])
-    return float((total - inner) / total)
+def boundary_mass_fraction(a2: np.ndarray, c: tuple[int, int] | None) -> float:
+    """Share of the mass in the outermost two-cell ring of the box, from the
+    |u|^2 samples a2 (see `fold`): on the quadrant, per axis, an index weighs
+    the inner grid indices 2 ... n-3 it stands for."""
+    if c is None:
+        total, inner = np.sum(a2), np.sum(a2[2:-2, 2:-2])
+    else:
+        n, m = 2 * len(a2) - 2, multiplicity(2 * len(a2) - 2)
+        rows, cols = (np.bincount(_quadrant_index(n, ci)[2:-2], minlength=len(a2))
+                      for ci in c)
+        total = np.einsum("i,ij,j->", m, a2, m)
+        inner = np.einsum("i,ij,j->", rows, a2, cols)
+    return float((total - inner) / total) if total else 0.0
 
 
 def variance(f: Field) -> float:
     """int |x|^2 |u|^2 over the box; meaningless once mass reaches the boundary."""
     a2 = abs2(f.values)
-    frac = boundary_mass_fraction(f, a2)
+    frac = boundary_mass_fraction(a2, None)
     if frac > 1e-10:
         raise ValueError(
             f"boundary mass fraction {frac:.2e} exceeds 1e-10; "
@@ -254,17 +270,14 @@ def write_checkpoint(f: Field, path) -> str:
     the bytes written.
 
     Layout: magic "NLS2", version u32, n u32, L f64, t f64, then n^2
-    little-endian (re, im) f64 pairs in row-major order.
+    little-endian complex128 samples, (re, im) f64 pairs, in row-major order.
     """
     header = CHECKPOINT_MAGIC + struct.pack(
         "<IIdd", CHECKPOINT_VERSION, f.grid.n, f.grid.L, f.t
     )
-    interleaved = np.empty((f.grid.n, f.grid.n, 2), dtype="<f8")
-    interleaved[..., 0] = f.values.real
-    interleaved[..., 1] = f.values.imag
     digest = hashlib.sha256()
     with atomic_open(path, "wb") as fh:
-        for chunk in (header, interleaved.data):
+        for chunk in (header, f.values.astype("<c16", copy=False).data):
             fh.write(chunk)
             digest.update(chunk)
     return digest.hexdigest()
@@ -291,5 +304,5 @@ def parse_checkpoint(data: bytes, grid: SpectralGrid | None = None) -> Field:
         raise ValueError(
             f"checkpoint grid (n={n}, L={L}) does not match the supplied grid"
         )
-    interleaved = np.frombuffer(data, "<f8", 2 * n * n, 28).reshape(n, n, 2)
-    return Field(grid, interleaved[..., 0] + 1j * interleaved[..., 1], t)
+    # a copy, so the field is writable; re + 1j im would lose a -0.0
+    return Field(grid, np.frombuffer(data, "<c16", n * n, 28).reshape(n, n).copy(), t)

@@ -9,7 +9,8 @@ radial, and exponentially decaying.  Two independent solvers compute it:
 * a spectral Petviashvili fixed-point iteration on the 2D grid.
 
 The iteration runs on the grid's (n/2+1)^2 quadrant in the DCT-I basis,
-and the grid's Q is that quadrant unfolded, so it is even to the bit.
+and the grid's Q is that quadrant unfolded, so it is even to the bit.  Its
+scalars come from `evolution.read_field`, the reading every datum's take.
 
 Certification requires the two to agree in sup norm and the grid solution
 to satisfy the ground-state integral identities (Pohozhaev relations) to
@@ -33,13 +34,13 @@ from .grid import (
     atomic_open,
     boundary_sup,
     fold,
-    moments,
     multiplicity,
     parse_checkpoint,
     unfold,
     write_checkpoint,
 )
 from .functionals import galilean_boost
+from .evolution import read_field
 
 
 class CertificationError(RuntimeError):
@@ -231,12 +232,12 @@ def _certify(f: Field, profile: RadialProfile, s_final: float) -> GroundState:
 
     Certified when the five identity residuals are within 1e-6 relative and
     the real part of the field is within 1e-5 of the radial profile in sup
-    norm.
+    norm.  Both read f's samples and moments by `read_field`, as a datum's are.
     """
-    m = moments(f)
+    basis, v, _, m = read_field(f)
     residuals = _identity_residuals(m.mass, m.grad_sq, m.l6_6)
-    q = unfold(profile.q_of(fold(f.grid.R)))  # R is even, so q_of(R) bit for bit
-    sup_err = float(np.max(np.abs(f.values.real - q)))
+    # R is even, so q_of at its samples gives every grid point's bits
+    sup_err = float(np.max(np.abs(v.real - profile.q_of(fold(f.grid.R, basis.c)))))
     certified = bool(np.all(np.abs(residuals) <= 1e-6) and sup_err <= 1e-5)
     return GroundState(
         radial_profile=profile,
@@ -278,7 +279,7 @@ def solve_petviashvili(
     k = grid.k1d[:len(m)]
     one_plus_k2 = 1.0 + k[:, None] ** 2 + k**2
     weight = np.outer(m, m)
-    u = profile.q_of(fold(grid.R))
+    u = profile.q_of(fold(grid.R, (0, 0)))
     res = np.inf
     nlh = fft.dctn(u**5, type=1)
     for _ in range(max_iter):
@@ -299,7 +300,7 @@ def solve_petviashvili(
         raise CertificationError(
             f"no convergence in {max_iter} iterations (residual {res:.3e})"
         )
-    f = Field(grid, unfold(u).astype(np.complex128), 0.0)
+    f = Field(grid, unfold(u, (0, 0)).astype(np.complex128), 0.0)
     return _certify(f, profile, float(S))
 
 
@@ -311,7 +312,7 @@ def gn_inequality_check(f: Field, gs: GroundState) -> float:
     """
     if not gs.certified:
         raise ValueError("ground state is not certified")
-    m = moments(f)
+    m = read_field(f)[-1]
     return float(gs.c_gn * m.mass * m.grad_sq ** 2 - m.l6_6)
 
 
@@ -347,7 +348,7 @@ def make_initial_data(
                                 grid, gs, seed=seed)
         return galilean_boost(sub, np.asarray(need("xi"), dtype=float))
 
-    r = np.ascontiguousarray(fold(grid.R))  # R is even: build on its quadrant
+    r = fold(grid.R, (0, 0))  # R is even: build on its quadrant
     if family in ("scaled_q", "perturbed_q"):
         if gs is None:
             raise ValueError(f"{family} needs a ground state")
@@ -365,7 +366,7 @@ def make_initial_data(
     elif family != "scaled_q":
         raise ValueError(f"unknown initial-data family {family!r}")
 
-    f = Field(grid, unfold(vals))
+    f = Field(grid, unfold(vals, (0, 0)))
     sup = float(np.max(np.abs(vals)))
     if sup == 0.0 or boundary_sup(f) > BOUNDARY_TOL * sup:
         raise ValueError(

@@ -8,10 +8,14 @@ import pytest
 from nls2d import (
     BLOWUP_DETECTED,
     Field,
+    ProbeSpec,
     RAN_TO_T_END,
+    SpectralGrid,
+    StepControls,
     TrajectoryRecord,
     UNDERRESOLVED,
     classify,
+    evolve,
     galilean_boost,
     is_radial,
     make_initial_data,
@@ -101,6 +105,32 @@ def test_verdict_boost_invariant(gs_cert):
     assert v1.g2_minus_p2 == pytest.approx(v0.g2_minus_p2, abs=1e-9)
     assert v1.me_minus_2p2 == pytest.approx(v0.me_minus_2p2, abs=1e-9)
     assert not v1.radial
+
+
+@pytest.mark.parametrize("datum", ["scaled_q_0.8", "scaled_q_0.81", "rolled_q",
+                                   "boosted_gaussian"])
+def test_verdict_reads_the_datum_as_the_run_does(gs_cert, datum):
+    # classify and the run's t = 0 probe read the datum once, in the basis
+    # it steps in (the quadrant about its centre, or the full grid), so the
+    # verdict's G0 and ME are the trajectory's first G and M E to the bit.
+    # Read apart (full-grid FFT against quadrant DCT-I), lam 0.81 and the
+    # rolled Q differ in the last bit; lam 0.8 happens to agree
+    if datum.startswith("scaled_q"):
+        lam = float(datum.rsplit("_", 1)[1])
+        f = make_initial_data("scaled_q", {"lam": lam}, SpectralGrid(512, 64.0),
+                              gs=gs_cert)
+    elif datum == "rolled_q":
+        f = Field(gs_cert.field.grid,
+                  np.roll(gs_cert.field.values, (37, 101), (0, 1)))
+    else:
+        g = SpectralGrid(128, 32.0)
+        f = galilean_boost(gaussian(g, 0.5), [3 * 2.0 * np.pi / g.L, 0.0])
+    verdict = classify(f, gs_cert)
+    dt = 1e-3
+    rec = evolve(f, dt, StepControls(dt_min=dt, dt_max=dt), gs_cert,
+                 ProbeSpec(cadence=dt))
+    assert verdict.G0 == rec.G[0]
+    assert verdict.ME == rec.mass0 * rec.energy0 / (gs_cert.massQ * gs_cert.energyQ)
 
 
 def test_is_radial(grid_128):

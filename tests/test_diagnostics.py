@@ -25,9 +25,8 @@ from nls2d import (
 )
 from nls2d import evolution
 from nls2d.evolution import Snapshot, full_basis
-from nls2d.diagnostics import (_phi_derivs, asymptotic_state_residuals,
-                               box_exit_fraction)
-from nls2d.grid import boundary_mass_fraction, unfold
+from nls2d.diagnostics import _phi_derivs, asymptotic_state_residuals
+from nls2d.grid import abs2, boundary_mass_fraction, unfold
 from nls2d.harness import _aligned_snapshot_times
 
 
@@ -332,8 +331,10 @@ def test_detector_on_the_quadrant_matches_the_full_grid(gs_cert, grid_128,
         rec = evolve(f, window[1], StepControls(), gs_cert,
                      ProbeSpec(cadence=0.05, snapshot_times=times))
         snaps = rec.snapshots_at(times)
-        return (snaps, asymptotic_state_residuals(snaps),
-                box_exit_fraction(snaps), scattering_detect(rec, window, snaps))
+        frac = max(boundary_mass_fraction(abs2(s.samples), s.basis.c)
+                   for s in snaps)
+        return (snaps, asymptotic_state_residuals(snaps), frac,
+                scattering_detect(rec, window, snaps))
 
     quad, quad_d, quad_frac, quad_report = run()
     monkeypatch.setattr(evolution, "_is_even", lambda v: False)
@@ -341,7 +342,7 @@ def test_detector_on_the_quadrant_matches_the_full_grid(gs_cert, grid_128,
     assert len(quad) == len(full) == 9
     for q, s in zip(quad, full):
         assert q.samples.shape == (h, h) and s.samples.shape == (g.n, g.n)
-        assert np.array_equal(q.values, unfold(q.samples))
+        assert np.array_equal(q.values, unfold(q.samples, (0, 0)))
     assert full_d[0] > 1e-3 and quad_d[-1] == full_d[-1] == 0.0
     assert np.all(np.abs(quad_d - full_d) <= 1e-12 * full_d)
     assert abs(quad_frac - full_frac) <= 1e-14
@@ -359,10 +360,12 @@ def test_detector_on_the_quadrant_matches_the_full_grid(gs_cert, grid_128,
                  ProbeSpec(cadence=0.05, snapshot_times=(0.0, 0.05, 0.1)))
     for s in rec.snapshots:
         assert s.samples.shape == (h, h)
-        assert np.array_equal(s.values, np.roll(unfold(s.samples), shift, (0, 1)))
-        want = boundary_mass_fraction(Field(g, s.values))
+        assert np.array_equal(s.values,
+                              np.roll(unfold(s.samples, (0, 0)), shift, (0, 1)))
+        want = boundary_mass_fraction(abs2(s.values), None)
         assert want > 0.1
-        assert abs(box_exit_fraction([s]) - want) <= 1e-14
+        got = boundary_mass_fraction(abs2(s.samples), s.basis.c)
+        assert abs(got - want) <= 1e-14
 
 
 def test_scattering_detect_guards(grid_128):

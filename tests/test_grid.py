@@ -25,7 +25,8 @@ from nls2d import (
     spectral_gradient,
     write_checkpoint,
 )
-from nls2d.grid import fold, multiplicity, unfold, weighted_moments
+from nls2d.grid import (abs2, fold, multiplicity, parse_checkpoint, unfold,
+                        weighted_moments)
 
 
 def gaussian(grid, amp=1.0, width=1.0):
@@ -72,12 +73,17 @@ def test_grid_pickles_as_n_and_l(gs_cert):
 
 
 def test_quadrant_layout():
-    # an even field is its quadrant unfolded, and the quadrant's indices
-    # stand for all n of the grid's per axis
+    # an even field is its quadrant unfolded, about the origin or about any
+    # grid point c it is rolled to, and the quadrant's indices stand for
+    # all n of the grid's per axis
     g = SpectralGrid(64, 16.0)
     v = np.exp(-g.R**2) * (1.0 + g.X**2 * g.Y**4)
-    assert np.array_equal(unfold(fold(v)), v)
-    assert fold(v).shape == (33, 33) and fold(v)[0, 0] == v[32, 32]
+    assert np.array_equal(fold(v, (0, 0)), v[32::-1, 32::-1])
+    for c in ((0, 0), (5, 60), (32, 1)):
+        w = np.roll(v, c, (0, 1))
+        assert np.array_equal(unfold(fold(w, c), c), w)
+        assert fold(w, c).shape == (33, 33)
+        assert fold(w, c)[0, 0] == v[32, 32] == w[(32 + c[0]) % 64, (32 + c[1]) % 64]
     m = multiplicity(g.n)
     assert m.sum() == g.n and m[0] == m[-1] == 1.0 and set(m[1:-1]) == {2.0}
 
@@ -182,8 +188,8 @@ def test_quadrant_moments_are_the_full_grids():
     g = SpectralGrid(128, 32.0)
     vals = ((0.9 + 0.3j) * np.exp(-(g.X**2 / 2.9 + g.Y**2 / 1.3))
             + 0.01 * np.exp(-g.R**2 / 4.0) * np.cos(9.5 * g.X))
-    assert np.array_equal(unfold(fold(vals)), vals)
-    q, m = fold(vals), multiplicity(g.n)
+    assert np.array_equal(unfold(fold(vals, (0, 0)), (0, 0)), vals)
+    q, m = fold(vals, (0, 0)), multiplicity(g.n)
     quad = weighted_moments(g, q, dctn(q.real, type=1) + 1j * dctn(q.imag, type=1),
                             np.outer(m, m) / g.n**2)
     full = moments(Field(g, vals))
@@ -207,11 +213,28 @@ def test_boundary_probes():
     g = SpectralGrid(128, 32.0)
     centered = gaussian(g, 1.0, 1.0)
     assert boundary_sup(centered) < 1e-12
-    assert boundary_mass_fraction(centered) < 1e-12
+    assert boundary_mass_fraction(abs2(centered.values), None) < 1e-12
     shifted_vals = np.exp(-((g.X - 15.0) ** 2 + g.Y**2) / 2.0)
     shifted = Field(g, shifted_vals.astype(np.complex128))
     assert boundary_sup(shifted) > 0.5
-    assert boundary_mass_fraction(shifted) > 0.1
+    assert boundary_mass_fraction(abs2(shifted.values), None) > 0.1
+
+
+@pytest.mark.parametrize("c", [(0, 0), (63, 37), (64, 1)])
+def test_boundary_mass_fraction_reads_the_quadrant(rng, c):
+    # quadrant samples of a field even about c give the share of the
+    # unfolded field; a random quadrant puts mass on every ring
+    n = 128
+    g, h = SpectralGrid(n, 32.0), n // 2 + 1
+    for q in (rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h)),
+              fold(gaussian(g, 1.0, 6.0).values, (0, 0))):
+        full = unfold(q, c)
+        assert np.array_equal(full, np.roll(unfold(q, (0, 0)), c, (0, 1)))
+        a2 = abs2(full)
+        want = (np.sum(a2) - np.sum(a2[2:-2, 2:-2])) / np.sum(a2)
+        assert boundary_mass_fraction(a2, None) == want  # the full grid's, to the bit
+        assert abs(boundary_mass_fraction(abs2(q), c) - want) <= 1e-14
+    assert boundary_mass_fraction(np.zeros((h, h)), c) == 0.0
 
 
 def test_checkpoint_round_trip(tmp_path, rng):
@@ -228,6 +251,22 @@ def test_checkpoint_round_trip(tmp_path, rng):
     path2 = tmp_path / "state2.nls2"
     write_checkpoint(back, str(path2))
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_checkpoint_keeps_signed_zeros(tmp_path):
+    g = SpectralGrid(16, 8.0)
+    vals = np.ones((16, 16), dtype=complex)
+    vals[0, 0] = complex(1.0, -0.0)
+    vals[1, 1] = complex(-0.0, 2.0)
+    path = tmp_path / "zeros.nls2"
+    write_checkpoint(Field(g, vals), str(path))
+    back = read_checkpoint(str(path)).values
+    assert back.tobytes() == vals.tobytes()
+    assert np.signbit(back[0, 0].imag) and np.signbit(back[1, 1].real)
+    # the samples are written as little-endian (re, im) float64 pairs
+    pairs = np.frombuffer(path.read_bytes(), "<f8", 2 * 16 * 16, 28)
+    assert np.array_equal(pairs.view(np.int64), vals.view(np.int64).ravel())
+    assert parse_checkpoint(path.read_bytes()).values.flags.writeable
 
 
 def test_checkpoint_rejects_tampering(tmp_path):

@@ -155,6 +155,27 @@ def test_ground_state_is_even_to_the_bit(gs_cert, gs_cache):
     assert _is_even(load_ground_state(gs_cache).field.values)
 
 
+def test_an_uneven_q_certifies_on_the_full_grid(gs_cert, gs_cache, monkeypatch):
+    # Q reads its scalars in the basis it steps in: the quadrant, within
+    # roundoff of the full grid's FFT moments.  A Q that is not even to the
+    # bit (forced here) takes the full grid's, to the bit, solved or loaded
+    from nls2d import evolution
+    from nls2d.ground_state import _certify, _identity_residuals
+
+    m = moments(gs_cert.field)
+    for got, want in ((gs_cert.massQ, m.mass), (gs_cert.gradQ_sq, m.grad_sq),
+                      (gs_cert.l6Q_6, m.l6_6)):
+        assert got == pytest.approx(want, rel=1e-14)
+    monkeypatch.setattr(evolution, "_is_even", lambda v: False)
+    for gs in (_certify(gs_cert.field, gs_cert.radial_profile, gs_cert.s_final),
+               load_ground_state(gs_cache)):
+        assert gs.certified
+        assert (gs.massQ, gs.gradQ_sq, gs.l6Q_6) == (m.mass, m.grad_sq, m.l6_6)
+        assert np.array_equal(gs.residuals,
+                              _identity_residuals(m.mass, m.grad_sq, m.l6_6))
+        assert gs.sup_err_vs_oracle == gs_cert.sup_err_vs_oracle
+
+
 def test_pohozhaev_identities(gs_cert):
     assert np.max(np.abs(gs_cert.residuals)) <= 1e-6
 
@@ -189,7 +210,8 @@ def test_petviashvili_seed_moves_the_iteration_count_not_the_answer(
         monkeypatch.setattr(scipy.fft, name, full_grid)
     gs = solve_petviashvili(grid_cert, tol=1e-10, profile=GaussianProfile())
     cold = len(calls)
-    assert set(calls) == {(grid_cert.n // 2 + 1,) * 2}  # the quadrant's
+    # the quadrant's, the certificate's on its (re, im) pairs included
+    assert {shape[:2] for shape in calls} == {(grid_cert.n // 2 + 1,) * 2}
     calls.clear()
     solve_petviashvili(grid_cert, tol=1e-10, profile=shooting_profile)
     # two forward transforms an iteration, plus one before the loop
@@ -287,6 +309,9 @@ def test_cache_round_trip(gs_cert, tmp_path):
     assert back.massQ == gs_cert.massQ
     assert back.gradQ_sq == gs_cert.gradQ_sq
     assert back.l6Q_6 == gs_cert.l6Q_6
+    assert back.c_gn == gs_cert.c_gn
+    assert np.array_equal(back.residuals, gs_cert.residuals)
+    assert back.sup_err_vs_oracle == gs_cert.sup_err_vs_oracle
     assert np.array_equal(back.field.values, gs_cert.field.values)
     assert back.radial_profile.q0 == gs_cert.radial_profile.q0
 
