@@ -24,6 +24,13 @@ controls), which are quadrant samples, as `nls2d run` keeps them.
 `evolve_peak_mib` is `evolve`'s `tracemalloc` peak, in MiB, over that run
 with those nine snapshots kept.
 
+The benchmark's `blowup-sweep` row at lam = 1.2 (`perturbed_q`, eps 1e-3,
+the row seed that config seed 7 gives the first of two sweep rows, the
+512/32 grid, t_end 1, probes every 0.01, default step controls) has one
+row, `blowup_row_evolve`: the wall time of `evolve` from the datum to the
+blow-up probe that stops it (median of 3). `blowup_row_steps` is the steps
+it takes there, and `blowup_row_t_star` that probe's time.
+
 The set-up of a ground state and the cold path a run pays before its first
 step have six rows: `solve_radial_shooting` (median of 5 after one warm
 call, so the `scipy.integrate` import is not timed; the script also prints
@@ -183,11 +190,24 @@ snaps = rec.snapshots_at(scatter_times)
 assert len(snaps) == 9 and len(snaps[0].samples) == 257
 medians["scattering_detect"] = median_ms(
     lambda s: scattering_detect(rec, window, s), lambda: snaps, repeats=15)
+# the benchmark's `blowup-sweep` row at lam = 1.2: its datum, seeded as
+# `cmd_sweep` seeds the first of two rows under config seed 7
+row_seed = int(np.random.SeedSequence(7).spawn(2)[0].generate_state(1, np.uint64)[0])
+blowup_datum = make_initial_data("perturbed_q", {"lam": 1.2, "eps": 1e-3}, grid,
+                                 gs=gs, seed=row_seed)
+blowup_runs = []
+medians["blowup_row_evolve"] = median_ms(
+    lambda f: blowup_runs.append(evolve(f, 1.0, StepControls(), gs,
+                                        ProbeSpec(cadence=0.01))),
+    lambda: blowup_datum, repeats=3)
+assert all(r.outcome == "blowup_detected" for r in blowup_runs)
+blowup_steps = blowup_runs[0].steps_taken
 medians["import_nls2d_cli"] = import_ms()
 result = {
     "grid": {"n": N, "L": L}, "datum": "gaussian amplitude 2.5 width 1",
     "dt_fixed": DT, "unit": "ms", "medians": medians,
     "shooting_shots": len(shots), "evolve_peak_mib": evolve_peak_mib,
+    "blowup_row_steps": blowup_steps, "blowup_row_t_star": blowup_runs[0].t_star,
     "numpy": np.__version__, "scipy": scipy.__version__,
     "python": sys.version.split()[0],
 }
@@ -197,3 +217,5 @@ for name, ms in medians.items():
     print(f"{name:22s} {ms:8.2f} ms")
 print(f"solve_radial_shooting: {len(shots)} shots, then the profile integration")
 print(f"evolve with nine snapshots kept: tracemalloc peak {evolve_peak_mib:.1f} MiB")
+print(f"blow-up row (lam 1.2): {blowup_steps} steps to detection at "
+      f"t* = {blowup_runs[0].t_star:g}")

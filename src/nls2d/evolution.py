@@ -56,9 +56,12 @@ that `classify` and the ground state's certificate take too, so a verdict's
 G0 is the trajectory's first G to the bit.
 
 The driver integrates between probe times, records norms and conserved
-drift, monitors the spectral tail as a resolution certificate, and converts
-gradient growth plus tail growth into a blow-up detection.  We detect the
-onset of blow-up and stop; nothing is simulated past resolution loss.
+drift, and monitors the spectral tail as a resolution certificate.  A run
+stops at its first probe with grad_sq >= GRAD_BLOWUP_FACTOR * grad_sq(0) and
+tail >= tail_max, t* (`detect_blowup`), taking no step after it, or at a
+step that overflows.  Past tail >= tail_max only the stall streak steps on:
+six probes in a row with the tail above tail_max and grad_sq below the
+factor end a run `underresolved`.
 """
 
 from __future__ import annotations
@@ -381,25 +384,16 @@ def step_strang(f: Field, dt: float) -> Field:
 
 
 def detect_blowup(rec: TrajectoryRecord, controls: StepControls) -> float | None:
-    """First sample time at which gradient growth and tail loss coincide.
-
-    Fires when grad_sq >= GRAD_BLOWUP_FACTOR * grad_sq(0) AND the spectral
-    tail fraction >= controls.tail_max on two consecutive samples.
-    """
-    if len(rec.times) < 2:
-        return None
+    """The time of rec's newest sample if gradient growth and tail loss
+    coincide there, grad_sq >= GRAD_BLOWUP_FACTOR * grad_sq(0) AND tail
+    fraction >= controls.tail_max, else None.  `evolve` asks after each
+    probe, so the first sample that fires is t*, and stops the run there.
+    A high tail below the factor does not fire: the stall streak steps on,
+    and six such probes in a row end the run `underresolved`."""
     g0 = rec.grad_sq[0]
-    if g0 <= 0.0:
-        return None
-    prev = False
-    for i in range(len(rec.times)):
-        cond = (
-            rec.grad_sq[i] >= GRAD_BLOWUP_FACTOR * g0
-            and rec.tail_fraction[i] >= controls.tail_max
-        )
-        if cond and prev:
-            return rec.times[i - 1]
-        prev = cond
+    if (g0 > 0.0 and rec.grad_sq[-1] >= GRAD_BLOWUP_FACTOR * g0
+            and rec.tail_fraction[-1] >= controls.tail_max):
+        return rec.times[-1]
     return None
 
 

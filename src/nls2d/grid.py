@@ -212,17 +212,20 @@ def boundary_sup(f: Field) -> float:
 
 def boundary_mass_fraction(a2: np.ndarray, c: tuple[int, int] | None) -> float:
     """Share of the mass in the outermost two-cell ring of the box, from the
-    |u|^2 samples a2 (see `fold`): on the quadrant, per axis, an index weighs
-    the inner grid indices 2 ... n-3 it stands for."""
+    |u|^2 samples a2 (see `fold`), summed over the ring, so a small share
+    does not cancel: on the quadrant, per axis, an index stands for m grid
+    indices, r of them inner (2 ... n-3), so (i, j) weighs
+    m_i m_j - r_i r_j = (m_i - r_i) m_j + r_i (m_j - r_j) on the ring."""
     if c is None:
-        total, inner = np.sum(a2), np.sum(a2[2:-2, 2:-2])
+        ring = np.sum(a2[[0, 1, -2, -1]]) + np.sum(a2[2:-2, [0, 1, -2, -1]])
+        total = np.sum(a2)
     else:
         n, m = 2 * len(a2) - 2, multiplicity(2 * len(a2) - 2)
         rows, cols = (np.bincount(_quadrant_index(n, ci)[2:-2], minlength=len(a2))
                       for ci in c)
-        total = np.einsum("i,ij,j->", m, a2, m)
-        inner = np.einsum("i,ij,j->", rows, a2, cols)
-    return float((total - inner) / total) if total else 0.0
+        ring = (m - rows) @ a2 @ m + rows @ a2 @ (m - cols)
+        total = m @ a2 @ m
+    return float(ring / total) if total else 0.0
 
 
 def variance(f: Field) -> float:

@@ -456,6 +456,8 @@ def test_evolve_detects_blowup(gs_cert, grid_256):
     assert rec.t_star is not None
     assert 0.0 < rec.t_star < 0.3
     assert max(rec.grad_sq) >= 25.0 * rec.grad_sq[0]
+    # the run stops at the probe that fired, its t*
+    assert rec.times[-1] == rec.t_star == 0.09
 
 
 def test_evolve_flags_underresolved(gs_cert, grid_128):
@@ -474,18 +476,20 @@ def test_evolve_flags_underresolved(gs_cert, grid_128):
     assert max(rec.grad_sq) < 25.0 * rec.grad_sq[0]
 
 
-def test_detect_blowup_needs_two_consecutive_samples():
+def test_detect_blowup_fires_at_the_first_sample_meeting_both_conditions():
     controls = StepControls()
     rec = TrajectoryRecord()
     base = dict(l6_6=1.0, mass_drift=0.0, energy_drift=0.0,
                 momx=0.0, momy=0.0, G=1.0)
     rec.add_sample(t=0.0, grad_sq=1.0, tail_fraction=0.0, **base)
-    rec.add_sample(t=0.1, grad_sq=30.0, tail_fraction=0.05, **base)
-    rec.add_sample(t=0.2, grad_sq=1.0, tail_fraction=0.0, **base)
+    # the gradient grown past 25x with the tail just below tail_max
+    rec.add_sample(t=0.04, grad_sq=30.0, tail_fraction=0.0099, **base)
     assert detect_blowup(rec, controls) is None
-    rec.add_sample(t=0.3, grad_sq=30.0, tail_fraction=0.05, **base)
-    rec.add_sample(t=0.4, grad_sq=40.0, tail_fraction=0.06, **base)
-    assert detect_blowup(rec, controls) == pytest.approx(0.3)
+    # the tail at tail_max with the gradient just below 25x
+    rec.add_sample(t=0.07, grad_sq=24.9, tail_fraction=0.01, **base)
+    assert detect_blowup(rec, controls) is None
+    rec.add_sample(t=0.1, grad_sq=30.0, tail_fraction=0.05, **base)
+    assert detect_blowup(rec, controls) == 0.1
 
 
 def test_record_guards():

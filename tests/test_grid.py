@@ -223,17 +223,24 @@ def test_boundary_probes():
 @pytest.mark.parametrize("c", [(0, 0), (63, 37), (64, 1)])
 def test_boundary_mass_fraction_reads_the_quadrant(rng, c):
     # quadrant samples of a field even about c give the share of the
-    # unfolded field; a random quadrant puts mass on every ring
+    # unfolded field; a random quadrant puts mass on every ring.  About the
+    # box's centre, c = (0, 0), the narrow hump puts 1.2e-11 of its mass on
+    # the ring, a share that total minus inner would lose to cancellation
     n = 128
     g, h = SpectralGrid(n, 32.0), n // 2 + 1
+    shares = []
     for q in (rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h)),
-              fold(gaussian(g, 1.0, 6.0).values, (0, 0))):
+              fold(gaussian(g, 1.0, 6.0).values, (0, 0)),
+              fold(gaussian(g, 1.0, 3.2).values, (0, 0))):
         full = unfold(q, c)
         assert np.array_equal(full, np.roll(unfold(q, (0, 0)), c, (0, 1)))
         a2 = abs2(full)
-        want = (np.sum(a2) - np.sum(a2[2:-2, 2:-2])) / np.sum(a2)
-        assert boundary_mass_fraction(a2, None) == want  # the full grid's, to the bit
-        assert abs(boundary_mass_fraction(abs2(q), c) - want) <= 1e-14
+        edge = [0, 1, -2, -1]  # the ring's rows, then its columns
+        want = (np.sum(a2[edge]) + np.sum(a2[2:-2, edge])) / np.sum(a2)
+        assert boundary_mass_fraction(a2, None) == want  # the ring's sum, to the bit
+        assert abs(boundary_mass_fraction(abs2(q), c) - want) <= 1e-14 * want
+        shares.append(want)
+    assert (min(shares) < 2e-11) == (c == (0, 0))
     assert boundary_mass_fraction(np.zeros((h, h)), c) == 0.0
 
 
