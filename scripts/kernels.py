@@ -32,15 +32,18 @@ blow-up probe that stops it (median of 3). `blowup_row_steps` is the steps
 it takes there, and `blowup_row_t_star` that probe's time.
 
 The set-up of a ground state and the cold path a run pays before its first
-step have six rows: `solve_radial_shooting` (median of 5 after one warm
+step have seven rows: `solve_radial_shooting` (median of 5 after one warm
 call, so the `scipy.integrate` import is not timed; the script also prints
-how many shots it takes), `solve_petviashvili` on the 512/48 grid from the
-shooting profile (its certification included, the radial shooting not),
-`_basis` on that Q rolled by (37, 101) grid points (the centre search that
-puts it on the quadrant), loading a ground-state cache that the script
-solves and writes once (512/48), `q_of` on the 512/32 grid's radii, and
-the wall time of `import nls2d.cli` in a fresh interpreter that has numpy
-loaded already (median of 5).
+how many shots it takes), `integrate_profile` (the part of it that
+integrates the converged shot with dense output and fits the spline,
+median of 5; the script also prints the spline's breakpoints and the
+bytes of the profile table a cache stores), `solve_petviashvili` on the
+512/48 grid from the shooting profile (its certification included, the
+radial shooting not), `_basis` on that Q rolled by (37, 101) grid points
+(the centre search that puts it on the quadrant), loading a ground-state
+cache that the script solves and writes once (512/48), `q_of` on the
+512/32 grid's radii, and the wall time of `import nls2d.cli` in a fresh
+interpreter that has numpy loaded already (median of 5).
 """
 
 from __future__ import annotations
@@ -160,6 +163,9 @@ profile = solve_radial_shooting()  # warm: pays the scipy.integrate import
 ground_state._mismatch = mismatch
 medians["solve_radial_shooting"] = median_ms(
     lambda _: solve_radial_shooting(), repeats=5)
+medians["integrate_profile"] = median_ms(
+    ground_state._integrate_profile, lambda: profile.q0, repeats=5)
+profile_bytes = 8 * (profile.x.size + profile.c.size)
 with tempfile.TemporaryDirectory() as tmp:
     cache = os.path.join(tmp, "ground_state.nls2")
     grid_q = SpectralGrid(512, 48.0)
@@ -206,7 +212,8 @@ medians["import_nls2d_cli"] = import_ms()
 result = {
     "grid": {"n": N, "L": L}, "datum": "gaussian amplitude 2.5 width 1",
     "dt_fixed": DT, "unit": "ms", "medians": medians,
-    "shooting_shots": len(shots), "evolve_peak_mib": evolve_peak_mib,
+    "shooting_shots": len(shots), "profile_breakpoints": profile.x.size,
+    "profile_table_bytes": profile_bytes, "evolve_peak_mib": evolve_peak_mib,
     "blowup_row_steps": blowup_steps, "blowup_row_t_star": blowup_runs[0].t_star,
     "numpy": np.__version__, "scipy": scipy.__version__,
     "python": sys.version.split()[0],
@@ -216,6 +223,7 @@ with open(os.path.join(ROOT, "BENCH_kernels.json"), "w") as fh:
 for name, ms in medians.items():
     print(f"{name:22s} {ms:8.2f} ms")
 print(f"solve_radial_shooting: {len(shots)} shots, then the profile integration")
+print(f"profile table: {profile.x.size} breakpoints, {profile_bytes} bytes")
 print(f"evolve with nine snapshots kept: tracemalloc peak {evolve_peak_mib:.1f} MiB")
 print(f"blow-up row (lam 1.2): {blowup_steps} steps to detection at "
       f"t* = {blowup_runs[0].t_star:g}")

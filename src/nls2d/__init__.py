@@ -23,7 +23,6 @@ from .functionals import (
     WindowReport,
     conserved,
     galilean_boost,
-    galilean_reduce,
     renormalized,
     window_check,
 )

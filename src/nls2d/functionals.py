@@ -95,15 +95,6 @@ def galilean_boost(f: Field, xi) -> Field:
     return Field(f.grid, f.values * phase, f.t)
 
 
-def galilean_reduce(f: Field) -> tuple[Field, np.ndarray]:
-    """Boost to the zero-momentum frame; returns (reduced field, xi0 = -P/M)."""
-    m = moments(f)
-    if m.mass <= 0.0:
-        raise ValueError("cannot reduce a zero-mass field")
-    xi0 = -np.array([m.px, m.py]) / m.mass
-    return galilean_boost(f, xi0), xi0
-
-
 @dataclass(frozen=True)
 class WindowReport:
     status: str                # inside | violates_lower | violates_upper

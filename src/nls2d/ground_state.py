@@ -5,7 +5,7 @@ radial, and exponentially decaying.  Two independent solvers compute it:
 
 * a radial shooting oracle (Brent's method on Q(0) for the ODE
   Q'' + Q'/r - Q + Q^5 = 0, matching the shot to the decaying Bessel K0
-  tail at r = 6, with a K0 far-field graft), and
+  tail at r = 6 and grafting that tail there), and
 * a spectral Petviashvili fixed-point iteration on the 2D grid.
 
 The iteration runs on the grid's (n/2+1)^2 quadrant in the DCT-I basis,
@@ -50,9 +50,8 @@ class CertificationError(RuntimeError):
 # The radial ODE is integrated from a small series start at r ~ 0 to avoid
 # the coordinate singularity of the Q'/r term.
 _R_ORIGIN = 1e-8
-_TAIL_THRESHOLD = 1e-6   # switch to the K0 asymptotic once Q drops below this
 _R_MAX = 40.0
-_R_FIT = 6.0          # where a shot is matched to the K0 tail
+_R_FIT = 6.0          # where a shot is matched and grafted to the K0 tail
 _Q_CHUNK = 1 << 15    # radii per q_of pass
 BOUNDARY_TOL = 1e-6   # a datum's boundary sup may be at most this times its sup
 
@@ -69,6 +68,15 @@ def _series_start(a: float, r0: float = _R_ORIGIN) -> tuple[float, float]:
     return q0, p0
 
 
+def _shoot(a: float, dense: bool):
+    """The shot from Q(0) = a, integrated from _R_ORIGIN to _R_FIT."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(_radial_rhs, (_R_ORIGIN, _R_FIT), list(_series_start(a)),
+                     rtol=1e-13, atol=1e-16, method="DOP853",
+                     dense_output=dense)
+
+
 def _mismatch(a: float) -> float:
     """Q'(r) K0(r) + Q(r) K1(r) at r = _R_FIT for the shot from Q(0) = a.
 
@@ -76,12 +84,9 @@ def _mismatch(a: float) -> float:
     when the shot carries no growing I0 part at _R_FIT.  Unlike the ratio
     Q'/Q + K1/K0 it has no pole where a shot crosses zero.
     """
-    from scipy.integrate import solve_ivp
     from scipy.special import k0, k1
 
-    sol = solve_ivp(_radial_rhs, (_R_ORIGIN, _R_FIT), list(_series_start(a)),
-                    rtol=1e-13, atol=1e-16, method="DOP853")
-    q, p = sol.y[:, -1]
+    q, p = _shoot(a, False).y[:, -1]
     return float(p * k0(_R_FIT) + q * k1(_R_FIT))
 
 
@@ -93,8 +98,7 @@ class RadialProfile:
     x: np.ndarray
     c: np.ndarray
     q0: float          # Q(0), the shooting amplitude matched to the K0 tail
-    c_tail: float      # Q(r) ~ c_tail * K0(r) beyond r_switch
-    r_switch: float
+    c_tail: float      # Q(r) = c_tail * K0(r) beyond _R_FIT
 
     @property
     def r_max(self) -> float:
@@ -120,52 +124,32 @@ class RadialProfile:
         out[r > self.r_max] = 0.0
         return out
 
-    def mass(self) -> float:
-        """2 pi int Q^2 r dr by adaptive quadrature on the profile."""
-        from scipy.integrate import quad
-
-        val, _ = quad(
-            lambda rr: 2.0 * np.pi * rr * float(self.q_of(rr)) ** 2,
-            0.0, self.r_max, points=[self.r_switch], limit=400,
-            epsabs=1e-13, epsrel=1e-13,
-        )
-        return val
-
 
 def _integrate_profile(a_star: float) -> RadialProfile:
-    """Integrate the converged shot outward, graft the K0 tail and fit the
-    clamped spline: Q'(0) = 0, and the far end follows the K0 slope."""
-    from scipy.integrate import solve_ivp
+    """Integrate the converged shot to _R_FIT, where the matching leaves it
+    no growing part, graft the K0 tail there and fit the clamped spline:
+    Q'(0) = 0, and the far end follows the K0 slope."""
     from scipy.interpolate import CubicSpline
     from scipy.special import k0, k1
 
-    q0, p0 = _series_start(a_star)
-    small = lambda r, y: y[0] - _TAIL_THRESHOLD
-    small.terminal = True
-    small.direction = -1
-    sol = solve_ivp(
-        _radial_rhs, (_R_ORIGIN, 30.0), [q0, p0],
-        rtol=1e-13, atol=1e-16, method="DOP853",
-        events=[small], dense_output=True,
-    )
-    if not sol.t_events[0].size:
-        raise CertificationError("shot never reached the far-field threshold")
-    r_switch = float(sol.t_events[0][0])
-    q_switch = float(sol.sol(r_switch)[0])
-    c_tail = q_switch / float(k0(r_switch))
+    sol = _shoot(a_star, True)
+    q_fit, p_fit = sol.y[:, -1]
+    if not q_fit > 0.0 > p_fit:
+        raise CertificationError(
+            f"the matched shot is not positive and decreasing at r = {_R_FIT:g}")
+    c_tail = float(q_fit / k0(_R_FIT))
 
-    r_core = np.arange(0.0, r_switch, 1e-3)
+    r_core = np.arange(0.0, _R_FIT, 1e-3)
     q_core = np.empty_like(r_core)
     q_core[0] = a_star
     q_core[1:] = sol.sol(r_core[1:])[0]
-    r_tail = np.concatenate([np.arange(r_switch, _R_MAX, 1e-2), [_R_MAX]])
+    r_tail = np.concatenate([np.arange(_R_FIT, _R_MAX, 1e-2), [_R_MAX]])
     q_tail = c_tail * k0(r_tail)
     end_slope = float(-c_tail * k1(_R_MAX))
     spline = CubicSpline(np.concatenate([r_core, r_tail]),
                          np.concatenate([q_core, q_tail]),
                          bc_type=((1, 0.0), (1, end_slope)))
-    return RadialProfile(x=spline.x, c=spline.c, q0=a_star, c_tail=c_tail,
-                         r_switch=r_switch)
+    return RadialProfile(x=spline.x, c=spline.c, q0=a_star, c_tail=c_tail)
 
 
 def solve_radial_shooting() -> RadialProfile:
@@ -400,7 +384,6 @@ def save_ground_state(gs: GroundState, path: str) -> None:
         "shooting": {
             "q0": p.q0,
             "c_tail": p.c_tail,
-            "r_switch": p.r_switch,
         },
     }
     with atomic_open(path + ".json") as fh:
@@ -437,6 +420,6 @@ def load_ground_state(path: str) -> GroundState:
         "profile_checksum"), "profile table"), dtype="<f8")
     m = (table.size - 1) // 5
     profile = RadialProfile(table[: m + 1], table[m + 1:].reshape(4, m), *(
-        float(sidecar["shooting"][k]) for k in ("q0", "c_tail", "r_switch")))
+        float(sidecar["shooting"][k]) for k in ("q0", "c_tail")))
     return _certify(parse_checkpoint(checkpoint), profile,
                     float(sidecar["s_final"]))

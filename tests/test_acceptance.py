@@ -32,7 +32,6 @@ from nls2d import (
     conserved,
     evolve,
     galilean_boost,
-    galilean_reduce,
     gn_inequality_check,
     make_initial_data,
     moments,
@@ -42,6 +41,7 @@ from nls2d import (
     virial_check_full,
 )
 from nls2d.classifier import CASE_BLOWUP, CASE_NEGATIVE_ENERGY, CASE_SCATTER
+from oracles import galilean_reduce
 
 # every trajectory produced by the suite lands here; criteria 06/07/11
 # audit all of them

@@ -9,12 +9,12 @@ from nls2d import (
     SpectralGrid,
     conserved,
     galilean_boost,
-    galilean_reduce,
     make_initial_data,
     moments,
     renormalized,
     window_check,
 )
+from oracles import galilean_reduce
 
 
 def gaussian(grid, amp=1.0, width=1.0):

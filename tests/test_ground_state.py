@@ -38,6 +38,7 @@ from nls2d import (
     solve_petviashvili,
     solve_radial_shooting,
 )
+from oracles import profile_mass
 
 Q0 = 2.000289943995881
 MASS_Q = 3.983447465221882
@@ -82,7 +83,7 @@ def test_shooting_without_a_bracket_is_uncertified(monkeypatch):
 
 
 def test_shooting_profile_mass(shooting_profile):
-    assert shooting_profile.mass() == pytest.approx(MASS_Q, rel=1e-10)
+    assert profile_mass(shooting_profile) == pytest.approx(MASS_Q, rel=1e-10)
 
 
 def test_shooting_profile_solves_the_ode(shooting_profile):
@@ -94,6 +95,30 @@ def test_shooting_profile_solves_the_ode(shooting_profile):
     assert np.max(np.abs(q2 + q1 / r - q + q**5)) < 1e-4
 
 
+def test_shooting_profile_solves_the_ode_across_the_graft(shooting_profile):
+    # relative to Q, across the hand-over from the shot to c_tail K0: a
+    # graft where the shot's growing I0 part has outgrown its decaying part
+    # leaves a weak joint (1.2e-2 for a graft at Q = 1e-6, r ~ 13)
+    s = PPoly(shooting_profile.c, shooting_profile.x)
+    r = np.linspace(5.0, 20.0, 15001)
+    q, q1, q2 = s(r), s(r, 1), s(r, 2)
+    assert np.max(np.abs(q2 + q1 / r - q + q**5) / q) <= 1e-4
+
+
+def test_tail_amplitude_is_stable_under_one_ulp_of_q0(shooting_profile):
+    # c_tail is read at the matching radius, before the roundoff in Q(0)
+    # grows about e^{2r}-fold: one ulp moves it 5.9e-11 relative at r = 6
+    a = shooting_profile.q0
+    near = ground_state._integrate_profile(np.nextafter(a, np.inf))
+    assert abs(near.c_tail / shooting_profile.c_tail - 1.0) < 1e-9
+
+
+def test_a_matched_shot_that_is_not_a_decaying_tail_is_uncertified():
+    # the shot from Q(0) = 2.1 has crossed zero by r = 6
+    with pytest.raises(CertificationError, match="positive and decreasing"):
+        ground_state._integrate_profile(2.1)
+
+
 def test_shooting_profile_shape(shooting_profile):
     p = shooting_profile
     assert s_monotone_decay(p)
@@ -101,7 +126,7 @@ def test_shooting_profile_shape(shooting_profile):
     # even profile: zero slope at the origin
     assert PPoly(p.c, p.x)(0.0, 1) == 0.0
     # grafted far field follows the modified Bessel decay
-    rt = np.linspace(p.r_switch + 0.5, 15.0, 40)
+    rt = np.linspace(ground_state._R_FIT + 0.5, 15.0, 40)
     ratio = p.q_of(rt) / bessel_k0(rt)
     assert np.max(np.abs(ratio - p.c_tail)) < 1e-9
     assert abs(p.q_of(p.r_max)) < 1e-10
@@ -278,6 +303,10 @@ def test_make_initial_data_families(gs_cert, grid_cert, grid_256):
                                 gs=gs_cert, seed=8)
     assert np.array_equal(p.values, p_same.values)
     assert not np.array_equal(p.values, p_other.values)
+    # built on the quadrant's radii: even about the origin to the bit
+    from nls2d.evolution import _is_even
+
+    assert all(_is_even(d.values) for d in (f, g, p))
 
     b = make_initial_data(
         "boosted",
@@ -322,8 +351,8 @@ def test_cache_round_trips_the_profile_spline(gs_cert, shooting_profile, tmp_pat
     back = load_ground_state(path).radial_profile
     assert np.array_equal(back.x, shooting_profile.x)
     assert np.array_equal(back.c, shooting_profile.c)
-    assert (back.q0, back.c_tail, back.r_switch) == (
-        shooting_profile.q0, shooting_profile.c_tail, shooting_profile.r_switch)
+    assert (back.q0, back.c_tail) == (shooting_profile.q0,
+                                      shooting_profile.c_tail)
     r = np.linspace(0.0, 45.0, 10001)
     assert np.array_equal(back.q_of(r), shooting_profile.q_of(r))
 
@@ -379,16 +408,18 @@ def test_a_run_loads_q_without_the_ode_stack(gs_cache):
 
 
 def test_cache_loads_a_sidecar_with_a_shooting_tol(gs_cert, tmp_path):
-    # an older sidecar carries "tol" under "shooting", the solver's "tol"
-    # and its "method", which nothing reads; it must load and certify as a
-    # fresh solve does
+    # an older sidecar carries "tol" and "r_switch" under "shooting", the
+    # solver's "tol" and its "method", which nothing reads; it must load and
+    # certify as a fresh solve does
     path = str(tmp_path / "gs.nls2")
     save_ground_state(gs_cert, path)
     with open(path + ".json") as fh:
         sidecar = json.load(fh)
     assert "tol" not in sidecar["shooting"]
+    assert "r_switch" not in sidecar["shooting"]
     assert "tol" not in sidecar and "method" not in sidecar
     sidecar["shooting"]["tol"] = 1e-12
+    sidecar["shooting"]["r_switch"] = 12.972075570624007
     sidecar["tol"] = 1e-10
     sidecar["method"] = "petviashvili"
     with open(path + ".json", "w") as fh:
