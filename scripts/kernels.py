@@ -29,7 +29,11 @@ the row seed that config seed 7 gives the first of two sweep rows, the
 512/32 grid, t_end 1, probes every 0.01, default step controls) has one
 row, `blowup_row_evolve`: the wall time of `evolve` from the datum to the
 blow-up probe that stops it (median of 3). `blowup_row_steps` is the steps
-it takes there, and `blowup_row_t_star` that probe's time.
+it takes there, and `blowup_row_t_star` that probe's time. Three rows time
+the virial layer on that row's datum: `virial_check_full` over six
+snapshots of its run 0.01 apart (t = 0 to 0.05, kept as `nls2d run` keeps
+them, on the quadrant), `Cutoff(8, grid)` on its grid, and
+`blowup_time_bound` at t = 0 (R = L/4 = 8, kappa 0.05); median of 7 each.
 
 The set-up of a ground state and the cold path a run pays before its first
 step have seven rows: `solve_radial_shooting` (median of 5 after one warm
@@ -64,10 +68,11 @@ import numpy as np
 import scipy
 from scipy import fft
 
-from nls2d import (Field, ProbeSpec, SpectralGrid, StepControls, classify,
-                   evolve, load_ground_state, make_initial_data, moments,
-                   save_ground_state, scattering_detect, solve_petviashvili,
-                   solve_radial_shooting)
+from nls2d import (Cutoff, Field, ProbeSpec, SpectralGrid, StepControls,
+                   blowup_time_bound, classify, evolve, load_ground_state,
+                   make_initial_data, moments, save_ground_state,
+                   scattering_detect, solve_petviashvili,
+                   solve_radial_shooting, virial_check_full)
 from nls2d import evolution, ground_state
 from nls2d.grid import fold, weighted_moments
 from nls2d.harness import _aligned_snapshot_times
@@ -143,7 +148,7 @@ medians = {
     "strang_fixed_step": step_ms(full, v, fixed, 10 * DT, repeats=7),
     "strang_adaptive_step": step_ms(full, v, StepControls(), 0.05, repeats=7),
     "kahan_li6_step": step_ms(full, v, kahan_li6, 3 * DT, repeats=5),
-    "moments": median_ms(lambda f: moments(f, w), lambda: Field(grid, v)),
+    "moments": median_ms(moments, lambda: Field(grid, v)),
     "probe": median_ms(lambda x: probe(full, x), lambda: w),
     "ifft2": median_ms(fft.ifft2, lambda: w),
     "quadrant_dct1_pair": median_ms(
@@ -208,6 +213,14 @@ medians["blowup_row_evolve"] = median_ms(
     lambda: blowup_datum, repeats=3)
 assert all(r.outcome == "blowup_detected" for r in blowup_runs)
 blowup_steps = blowup_runs[0].steps_taken
+virial_snaps = evolve(blowup_datum, 0.05, StepControls(), gs, ProbeSpec(
+    cadence=0.01, snapshot_times=tuple(0.01 * k for k in range(6)))).snapshots
+assert len(virial_snaps) == 6 and len(virial_snaps[0].samples) == N // 2 + 1
+medians["virial_check_full"] = median_ms(virial_check_full, lambda: virial_snaps,
+                                         repeats=7)
+medians["cutoff"] = median_ms(lambda g: Cutoff(8.0, g), lambda: grid, repeats=7)
+medians["blowup_time_bound"] = median_ms(
+    lambda f: blowup_time_bound(f, gs, None, 0.05), lambda: blowup_datum, repeats=7)
 medians["import_nls2d_cli"] = import_ms()
 result = {
     "grid": {"n": N, "L": L}, "datum": "gaussian amplitude 2.5 width 1",

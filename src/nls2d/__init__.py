@@ -14,7 +14,6 @@ from .grid import (
     boundary_sup,
     moments,
     read_checkpoint,
-    spectral_gradient,
     write_checkpoint,
 )
 from .functionals import (
@@ -61,7 +60,6 @@ from .diagnostics import (
     radial_asymmetry,
     scattering_detect,
     variance,
-    variance_derivative,
     virial_check_full,
     write_scattering_json,
     write_virial_csv,

@@ -3,20 +3,24 @@
 The variance V(t) = int |x|^2 |u|^2 obeys V'' = 8 ||grad u||^2 -
 (16/3) ||u||_L6^6 along the flow; convexity of V drives blow-up arguments,
 and a localized version z_R (variance against a compactly supported radial
-cutoff) gives quantitative blow-up time bounds.  A scattering detector
-compares late-time states against a free evolution.
+cutoff) gives quantitative blow-up time bounds.  One reader,
+`localized_variance`, gives the whole family from one forward transform of
+a field and the two inverse transforms of its gradient: every integrand is
+|u|^2, |u|^6, |grad u|^2 or g = x . grad u, on five radial weights.  A
+scattering detector compares late-time states against a free evolution.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import fft
 
-from .grid import (Field, abs2, atomic_open, boundary_mass_fraction, moments,
-                   spectral_gradient, variance, write_float_csv)
+from .grid import (Field, Moments, abs2, atomic_open, boundary_mass_fraction,
+                   variance, weighted_moments, write_float_csv)
 from .functionals import renormalized
 from .evolution import RAN_TO_T_END, Snapshot, free_flow
 
@@ -53,10 +57,11 @@ def _cutoff_radius(R: float | None, grid) -> float:
 
 
 class Cutoff:
-    """Compact radial cutoff sampled (with its radial derivatives) on a grid.
-
-    Weight W(x) = R^2 phi(|x|/R) with phi = rho^2 inside rho <= 1 and
-    phi = 0 beyond rho = 2.
+    """Compact radial cutoff W(x) = R^2 phi(|x|/R), with phi = rho^2 inside
+    rho <= 1 and phi = 0 beyond rho = 2, sampled on a grid with the weights
+    of its virial identities (see `localized_variance`): W, phi'/rho, the
+    excess (phi'' - phi'/rho)/r^2 of the radial over the tangential second
+    derivative, lap phi and bilap phi (r = |x|, rho = r/R).
     """
 
     def __init__(self, R: float, grid):
@@ -67,53 +72,65 @@ class Cutoff:
         rho = grid.R / self.R
         val, d1, d2, d3, d4 = _phi_derivs(rho)
         self.w = self.R**2 * val            # W(x)
-        self.rwp = self.R * d1              # R phi'(rho), z'_R's weight
-        self.wpp = d2                       # phi''(rho)
-        # ratio phi'(rho)/rho and the radial (bi)laplacians, with the exact
-        # interior constants substituted where rho -> 0 would divide by zero
+        # inside rho <= 1, where phi = rho^2, the exact constants stand in
+        # for the ratios, which would divide by zero at the origin
         inside = rho <= 1.0
         rho_safe = np.where(inside, 1.0, rho)
         self.wp_over_rho = np.where(inside, 2.0, d1 / rho_safe)
+        self.excess = np.where(
+            inside, 0.0, (d2 - d1 / rho_safe) / (self.R * rho_safe) ** 2)
         self.lap = np.where(inside, 4.0, d2 + d1 / rho_safe)
         self.bilap = np.where(
             inside,
             0.0,
             d4 + 2.0 * d3 / rho_safe - d2 / rho_safe**2 + d1 / rho_safe**3,
         )
-        # radial unit vector, safe at the origin, where the weights vanish
-        r_safe = np.where(grid.R == 0.0, 1.0, grid.R)
-        self.cx, self.cy = grid.X / r_safe, grid.Y / r_safe
 
 
 # ---------------------------------------------------------------------------
 # variance and virial identities
-
-def variance_derivative(f: Field, grad=None) -> float:
-    """V'(t) by the momentum-flux formula 4 Im int conj(u) (x . grad u);
-    grad is spectral_gradient(f) if the caller holds it."""
-    g = f.grid
-    ux, uy = spectral_gradient(f) if grad is None else grad
-    integrand = np.conj(f.values) * (g.X * ux + g.Y * uy)
-    return float(4.0 * g.dx**2 * np.imag(np.sum(integrand)))
-
 
 def _wsum(*factors):
     """Grid sum of a product, by einsum: no temporary and no BLAS threads."""
     return np.einsum(",".join("ij" for _ in factors) + "->", *factors)
 
 
-def localized_variance(f: Field, cutoff: Cutoff, grad=None, virial=None):
-    """Localized variance z_R and its first two exact time derivatives.
+class VirialReading(NamedTuple):
+    """A field's variance family, as `localized_variance` reads it."""
 
-    With weight W(x) = R^2 phi(x/R):
+    m: Moments        # its moments; V'' = m.virial
+    V: float          # int |x|^2 |u|^2, NaN past variance's boundary guard
+    Vp: float         # V', NaN with V
+    z: float          # z_R
+    zp: float         # z'_R
+    zpp: float        # z''_R
+    A_R: float        # z''_R - V''
+    grad_ext: float   # int over |x| >= R of |grad u|^2
+
+
+def localized_variance(f: Field, cutoff: Cutoff) -> VirialReading:
+    """The variance family of f: V, V', V'' and the localized variance z_R
+    with its first two exact time derivatives, from one fft2 of f and the
+    two ifft2 of its gradient.
+
+    With g = x . grad u, r = |x|, rho = r/R and W(x) = R^2 phi(rho):
+      V'    = 4 Im int conj(u) g
       z_R   = int W |u|^2
-      z'_R  = 2 Im int grad W . grad u conj(u)
-      z''_R = 4 int [phi''|du_r|^2 + (phi'/rho)|du_tau|^2]
+      z'_R  = 2 Im int (phi'/rho) conj(u) g
+      z''_R = 4 int [(phi'/rho) |grad u|^2 + ((phi'' - phi'/rho)/r^2) |g|^2]
               - (1/R^2) int (bilap phi) |u|^2 - (4/3) int (lap phi) |u|^6
-    Returns (z_R, zp_R, zpp_R, A_R) where A_R is z''_R minus the
-    unlocalized expression 8||grad u||^2 - (16/3)||u||^6.  grad and virial
-    are spectral_gradient(f) and moments(f).virial if the caller holds
-    them; otherwise both come from one FFT of f.
+    which is 4 int [phi''|u_r|^2 + (phi'/rho)|u_tau|^2] - ..., since
+    |u_r|^2 + |u_tau|^2 = |grad u|^2 and r u_r = g.  A_R is z''_R minus
+    V'' = 8||grad u||^2 - (16/3)||u||^6.
+
+    z''_R is the time derivative of z'_R only while |u|^2 stays off the
+    circles rho = 1 and rho = 2: phi's blend is only C^2 there, so bilap W
+    carries single-layer terms on them that the pointwise bilap phi misses.
+    Along a centred Gaussian (amplitude 0.8, width 1.5, L = 32, dt 1e-4),
+    z''_R misses the second differences of z_R by 1.37, 13-21 and 4.1e-2
+    relative at R = 2.5, 3 and 4, at n = 128 and 256 and at either of two
+    spacings, and at R = 8 only by the differences' own O(h^2).  z_R and
+    z'_R, all the blow-up time bound reads, are exact.
     """
     g = f.grid
     if cutoff.grid is not g and cutoff.grid != g:
@@ -121,27 +138,24 @@ def localized_variance(f: Field, cutoff: Cutoff, grad=None, virial=None):
     dx2 = g.dx**2
     u = f.values
     a2 = abs2(u)
+    fh = fft.fft2(u)
+    m = weighted_moments(g, u, fh, 1.0 / g.n**2)
+    ux, uy = fft.ifft2(g.ikx * fh), fft.ifft2(g.iky * fh)
+    xg = g.X * ux + g.Y * uy
+    grad2 = abs2(ux)
+    grad2 += abs2(uy)
+    im_ug = (np.conj(u) * xg).imag  # Im conj(u) g
+    V = variance(f)
+    Vp = np.nan if np.isnan(V) else float(4.0 * dx2 * np.sum(im_ug))
     z = float(dx2 * _wsum(cutoff.w, a2))
-
-    if grad is None or virial is None:
-        fh = fft.fft2(u)
-        grad, virial = spectral_gradient(f, fh), moments(f, fh).virial
-    ux, uy = grad
-    du_r = cutoff.cx * ux  # radial and tangential parts
-    du_r += cutoff.cy * uy
-    du_tau = cutoff.cx * uy
-    du_tau -= cutoff.cy * ux
-    zp = float(2.0 * dx2 * _wsum(cutoff.rwp, np.conj(u), du_r).imag)
+    zp = float(2.0 * dx2 * _wsum(cutoff.wp_over_rho, im_ug))
     zpp = float(
-        4.0 * dx2 * (_wsum(cutoff.wpp, du_r.real, du_r.real)
-                     + _wsum(cutoff.wpp, du_r.imag, du_r.imag)
-                     + _wsum(cutoff.wp_over_rho, du_tau.real, du_tau.real)
-                     + _wsum(cutoff.wp_over_rho, du_tau.imag, du_tau.imag))
+        4.0 * dx2 * (_wsum(cutoff.wp_over_rho, grad2) + _wsum(cutoff.excess, abs2(xg)))
         - dx2 / cutoff.R**2 * _wsum(cutoff.bilap, a2)
         - (4.0 / 3.0) * dx2 * _wsum(cutoff.lap, a2 * a2, a2)
     )
-    A_R = zpp - virial
-    return z, zp, zpp, A_R
+    grad_ext = float(dx2 * np.sum(grad2, where=g.R >= cutoff.R))
+    return VirialReading(m, V, Vp, z, zp, zpp, zpp - m.virial, grad_ext)
 
 
 @dataclass
@@ -163,7 +177,7 @@ def virial_check_full(snapshots: list[Field], R: float | None = None) -> VirialT
     formula is compared against centered second differences of V; the
     localized column uses the compact cutoff at radius R (default L/4).  V
     and V' are NaN on a snapshot past variance's boundary-mass guard.
-    Each snapshot unfolds once and costs one forward and two inverse FFTs.
+    Each snapshot unfolds once and is read once, by `localized_variance`.
     """
     if len(snapshots) < 5:
         raise ValueError("need at least 5 uniformly spaced snapshots")
@@ -173,18 +187,10 @@ def virial_check_full(snapshots: list[Field], R: float | None = None) -> VirialT
         raise ValueError("snapshots are not uniformly spaced")
     g = snapshots[0].grid
     cutoff = Cutoff(_cutoff_radius(R, g), g)
-    rows = []
-    for s in snapshots:
-        s = Field(g, s.values, s.t)
-        fh = fft.fft2(s.values)
-        grad, vpp = spectral_gradient(s, fh), moments(s, fh).virial
-        z, zp, _, ar = localized_variance(s, cutoff, grad, vpp)
-        try:
-            v, vp = variance(s), variance_derivative(s, grad)
-        except ValueError:  # mass at the boundary
-            v = vp = np.nan
-        rows.append((v, vp, vpp, z, zp, ar))
-    V, Vp, Vpp, z_R, zp_R, A_R = (np.array(col) for col in zip(*rows))
+    rows = [localized_variance(Field(g, s.values, s.t), cutoff) for s in snapshots]
+    V, Vp, z_R, zp_R, A_R = (np.array([getattr(r, c) for r in rows])
+                             for c in ("V", "Vp", "z", "zp", "A_R"))
+    Vpp = np.array([r.m.virial for r in rows])
     Vpp_fd = np.full_like(V, np.nan)
     h = dt[0]
     Vpp_fd[1:-1] = (V[2:] - 2.0 * V[1:-1] + V[:-2]) / h**2
@@ -276,9 +282,10 @@ def blowup_time_bound(f: Field, gs, R: float | None, kappa: float):
     (t_b, info) with t_b None when the hypotheses are not verifiable at
     t = 0.
     """
-    fh = fft.fft2(f.values)
-    m = moments(f, fh)
-    rn = renormalized(m, gs)
+    g = f.grid
+    R = _cutoff_radius(R, g)
+    reading = localized_variance(f, Cutoff(R, g))
+    rn = renormalized(reading.m, gs)
     if not (rn.ME < 1.0 and rn.G > 1.0):
         raise ValueError("bound applies above threshold (ME < 1, G(0) > 1)")
     lam_sq = 1.0 + np.sqrt(1.0 - rn.ME)
@@ -288,18 +295,12 @@ def blowup_time_bound(f: Field, gs, R: float | None, kappa: float):
             f"kappa = {kappa:g} must stay below min(lam - 1, KAPPA0) = "
             f"{min(lam - 1.0, KAPPA0):g}"
         )
-    g = f.grid
-    R = _cutoff_radius(R, g)
-    ux, uy = grad = spectral_gradient(f, fh)
-    ext = g.R >= R
-    grad_ext = float(g.dx**2 * np.sum(np.abs(ux[ext]) ** 2 + np.abs(uy[ext]) ** 2))
-    G_ext = float(np.sqrt(m.mass * grad_ext) / gs.qq_gq)
+    G_ext = float(np.sqrt(reading.m.mass * reading.grad_ext) / gs.qq_gq)
     info = {"lam": lam, "G_ext": G_ext, "kappa": kappa, "R": R}
     if G_ext > kappa:
         info["reason"] = "exterior gradient exceeds the kappa budget at t = 0"
         return None, info
-    cutoff = Cutoff(R, g)
-    z, zp, _, _ = localized_variance(f, cutoff, grad, m.virial)
+    z, zp = reading.z, reading.zp
     denom = 32.0 * gs.energyQ * lam_sq * (lam_sq - 1.0 - kappa)
     V_R = z / denom
     Vp_R = zp / denom

@@ -408,10 +408,7 @@ def _probe(m: Moments, u: Snapshot, gs, rec: TrajectoryRecord) -> dict:
                G=float(np.sqrt(m.mass * m.grad_sq) / gs.qq_gq),
                tail_fraction=m.tail)
     if "variance" in rec.columns:
-        try:
-            row["variance"] = variance(u)
-        except ValueError:  # mass at the boundary
-            row["variance"] = np.nan
+        row["variance"] = variance(u)
     return row
 
 

@@ -157,12 +157,9 @@ class Moments:
         return 8.0 * self.grad_sq - (16.0 / 3.0) * self.l6_6
 
 
-def moments(f: Field, fh: np.ndarray | None = None) -> Moments:
-    """The moments of f; fh, if the caller holds it, is only read and need
-    only carry the moduli of fft2(f.values)."""
-    if fh is None:
-        fh = fft.fft2(f.values)
-    return weighted_moments(f.grid, f.values, fh, 1.0 / f.grid.n**2)
+def moments(f: Field) -> Moments:
+    """The moments of f on the full grid."""
+    return weighted_moments(f.grid, f.values, fft.fft2(f.values), 1.0 / f.grid.n**2)
 
 
 def weighted_moments(g: SpectralGrid, v: np.ndarray, vh: np.ndarray,
@@ -193,17 +190,6 @@ def abs2(z: np.ndarray) -> np.ndarray:
     return np.square(z.real) + np.square(z.imag)
 
 
-def spectral_gradient(f: Field, fh: np.ndarray | None = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Partial derivatives (du/dx, du/dy) via the i*k multiplier; fh is
-    fft2(f.values) if the caller holds it, and is only read."""
-    if fh is None:
-        fh = fft.fft2(f.values)
-    ux = fft.ifft2(f.grid.ikx * fh)
-    uy = fft.ifft2(f.grid.iky * fh)
-    return ux, uy
-
-
 def boundary_sup(f: Field) -> float:
     """Max |f| on the outermost one-cell ring of the box."""
     v = f.values  # |.| of the ring alone, not of the n^2 samples
@@ -229,14 +215,12 @@ def boundary_mass_fraction(a2: np.ndarray, c: tuple[int, int] | None) -> float:
 
 
 def variance(f: Field) -> float:
-    """int |x|^2 |u|^2 over the box; meaningless once mass reaches the boundary."""
+    """int |x|^2 |u|^2 over the box, or NaN once the boundary mass fraction
+    exceeds 1e-10: the box's |x|^2 does not weigh a wrapped field as the
+    plane's would."""
     a2 = abs2(f.values)
-    frac = boundary_mass_fraction(a2, None)
-    if frac > 1e-10:
-        raise ValueError(
-            f"boundary mass fraction {frac:.2e} exceeds 1e-10; "
-            "variance is not meaningful on a wrapped field"
-        )
+    if boundary_mass_fraction(a2, None) > 1e-10:
+        return np.nan
     g = f.grid
     x2 = g.x1d**2  # |x|^2 = X^2 + Y^2 on the row and column sums
     return float(g.dx**2 * (x2 @ np.sum(a2, axis=1) + x2 @ np.sum(a2, axis=0)))

@@ -20,7 +20,6 @@ from nls2d import (
     radial_asymmetry,
     scattering_detect,
     variance,
-    variance_derivative,
     virial_check_full,
 )
 from nls2d import evolution
@@ -48,6 +47,7 @@ def test_cutoff_interior_is_exact_variance_weight(grid_128):
     inside = grid_128.R <= 0.99 * c.R
     assert np.max(np.abs(c.w[inside] - grid_128.R[inside] ** 2)) < 1e-12
     assert np.all(c.wp_over_rho[inside] == 2.0)
+    assert np.all(c.excess[inside] == 0.0)
     assert np.all(c.lap[inside] == 4.0)
     assert np.all(c.bilap[inside] == 0.0)
 
@@ -114,12 +114,11 @@ def test_variance_translation_rule(grid_256):
 
 def test_variance_rejects_wrapped_mass(grid_128):
     wide = gaussian(grid_128, 1.0, 6.0)
-    with pytest.raises(ValueError, match="boundary"):
-        variance(wide)
+    assert np.isnan(variance(wide))
 
 
 def test_variance_derivative_vanishes_for_real_fields(grid_128):
-    assert abs(variance_derivative(gaussian(grid_128))) < 1e-13
+    assert abs(localized_variance(gaussian(grid_128), Cutoff(8.0, grid_128)).Vp) < 1e-13
 
 
 def test_virial_rhs_on_soliton(gs_cert):
@@ -131,12 +130,40 @@ def test_localized_variance_matches_global_inside(grid_128):
     # datum far inside the cutoff radius: localized and global agree
     f = gaussian(grid_128, 0.7, 1.0)
     c = Cutoff(8.0, grid_128)
-    z, zp, zpp, A_R = localized_variance(f, c)
-    assert z == pytest.approx(variance(f), rel=1e-10)
-    assert abs(zp - variance_derivative(f)) < 1e-10
+    r = localized_variance(f, c)
+    assert r.z == pytest.approx(variance(f), rel=1e-10)
+    assert abs(r.zp - r.Vp) < 1e-10
     virial = moments(f).virial
-    assert abs(A_R) < 1e-9 * max(1.0, abs(virial))
-    assert zpp == pytest.approx(virial, abs=1e-9)
+    assert r.m.virial == virial
+    assert abs(r.A_R) < 1e-9 * max(1.0, abs(virial))
+    assert r.zpp == pytest.approx(virial, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_localized_virial_keeps_the_origin_cell(n):
+    # a boosted hump well inside R: z''_R is V'' to roundoff, the gradient
+    # at the origin sample included (phi'' = phi'/rho = 2 there)
+    g = SpectralGrid(n, 32.0)
+    xi = np.array([3.0, 1.0]) * 2.0 * np.pi / 32.0
+    f = Field(g, gaussian(g, 0.6, 1.2).values * np.exp(1j * (xi[0] * g.X + xi[1] * g.Y)))
+    r = localized_variance(f, Cutoff(8.0, g))
+    assert abs(r.A_R) <= 1e-10 * abs(r.m.virial)
+
+
+def test_localized_variance_of_a_chirped_gaussian():
+    # u = A exp(-r^2/(2w^2) + i b r^2): V = pi A^2 w^4 and, with
+    # x . grad u = (-r^2/w^2 + 2i b r^2) u, V' = 8 b V
+    amp, width, b = 0.7, 1.0, 0.3
+    g = SpectralGrid(256, 32.0)
+    r2 = g.X**2 + g.Y**2
+    f = Field(g, amp * np.exp(-r2 / (2.0 * width**2) + 1j * b * r2))
+    r = localized_variance(f, Cutoff(10.0, g))
+    V = np.pi * amp**2 * width**4
+    assert r.V == pytest.approx(V, rel=1e-12)
+    assert r.Vp == pytest.approx(8.0 * b * V, rel=1e-12)
+    assert r.z == pytest.approx(r.V, rel=1e-12)
+    assert r.zp == pytest.approx(r.Vp, rel=1e-12)
+    assert abs(r.A_R) <= 1e-9
 
 
 def test_localized_variance_grid_guard(grid_128, grid_256):

@@ -22,7 +22,6 @@ from nls2d import (
     boundary_sup,
     moments,
     read_checkpoint,
-    spectral_gradient,
     write_checkpoint,
 )
 from nls2d.grid import (abs2, fold, multiplicity, parse_checkpoint, unfold,
@@ -140,16 +139,6 @@ def test_norms_grid_independent():
     assert fine.mass == pytest.approx(coarse.mass, rel=1e-12)
     assert fine.grad_sq == pytest.approx(coarse.grad_sq, rel=1e-12)
     assert fine.l6_6 == pytest.approx(coarse.l6_6, rel=1e-12)
-
-
-def test_spectral_gradient_matches_analytic():
-    g = SpectralGrid(256, 32.0)
-    f = gaussian(g, 1.0, 1.0)
-    ux, uy = spectral_gradient(f)
-    exact_x = -g.X * f.values
-    exact_y = -g.Y * f.values
-    assert np.max(np.abs(ux - exact_x)) < 1e-11
-    assert np.max(np.abs(uy - exact_y)) < 1e-11
 
 
 def test_moments_match_a_dense_reference():
